@@ -18,7 +18,7 @@ from .config import (ConfigError, ExperimentConfig, default_bp1_targets,
 from .estimate import (FLAG_ZERO_SIMULATED, check_report, compare,
                        default_sweep_mean, estimate_rare_nets,
                        solve_sigma_for_bp1, write_report_csv)
-from .netlist import load_netlist, save_netlist
+from .netlist import NetlistError, load_netlist, save_netlist
 from .simulate import export_activity, rare_nets, simulate
 from .stats import WordStats, breakpoints
 from .stimulus import generate, load_stream, save_stream
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, NetlistError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,10 +1,19 @@
-"""Vectorized gate-level simulation and switching-activity extraction.
+"""Bit-parallel gate-level simulation and switching-activity extraction.
 
-Operand words are expanded into per-bit waveforms (two's complement), the
-netlist is evaluated in topological order with numpy bitwise ops, and each
-net's activity is the count of value transitions between consecutive
-vectors.  Only functional transitions are counted; there is no timing or
-glitch model.
+Each net's waveform is packed 64 vectors to a little-endian `uint64` word:
+vector t is bit t % 64 of word t // 64.  Operand words are unpacked into
+per-bit waveforms (two's complement), and the netlist is evaluated gate by
+gate in topological order, one numpy bitwise ufunc per gate over a whole
+row of words.  A net's activity is the count of value transitions between
+consecutive vectors, taken as the popcount of the row XOR-ed with itself
+shifted by one vector.  Only functional transitions are counted; there is
+no timing or glitch model.
+
+Vectors are processed in chunks of `CHUNK_WORDS` words into one
+(nets x chunk) buffer that every chunk reuses, and each net's last vector
+is carried into the next chunk's census.  Peak memory is therefore set by
+the netlist size and the chunk size, not by the vector count (`evaluate`,
+which returns whole waveforms, is the exception).
 
 Control pins without an operand mapping (the adder carry-in) are tied low,
 and nets made constant by the tie are excluded from the toggle census; see
@@ -22,15 +31,20 @@ import numpy as np
 from .netlist import Netlist
 from .stimulus import StimulusStream
 
-_OPS = {
-    "AND": lambda x, y: x & y,
-    "OR": lambda x, y: x | y,
-    "NAND": lambda x, y: 1 - (x & y),
-    "NOR": lambda x, y: 1 - (x | y),
-    "XOR": lambda x, y: x ^ y,
-    "XNOR": lambda x, y: 1 - (x ^ y),
-    "NOT": lambda x: 1 - x,
-    "BUF": lambda x: x,
+CHUNK_WORDS = 1024  # 65,536 vectors per chunk
+_CENSUS_ROWS = 16   # nets per block of the toggle census
+_WORD = np.dtype("<u8")
+
+# gate kind -> (ufunc on packed words, invert its result)
+_GATES = {
+    "AND": (np.bitwise_and, False),
+    "OR": (np.bitwise_or, False),
+    "NAND": (np.bitwise_and, True),
+    "NOR": (np.bitwise_or, True),
+    "XOR": (np.bitwise_xor, False),
+    "XNOR": (np.bitwise_xor, True),
+    "NOT": (np.invert, False),
+    "BUF": (np.positive, False),
 }
 
 
@@ -46,26 +60,11 @@ class ToggleProfile:
         return self.toggles[net_id] / (self.vectors - 1)
 
 
-def _input_waves(netlist: Netlist, a: StimulusStream, b: StimulusStream):
-    if a.bit_width != netlist.width or b.bit_width != netlist.width:
-        raise ValueError("stream width does not match netlist operand width")
-    if len(a.words) != len(b.words):
-        raise ValueError("operand streams must have equal length")
-    waves = {}
-    zeros = None
-    for net in netlist.primary_inputs:
-        name = netlist.nets[net].name
-        if name.startswith("a") and name[1:].isdigit():
-            bit = int(name[1:])
-            waves[net] = ((a.words >> bit) & 1).astype(np.uint8)
-        elif name.startswith("b") and name[1:].isdigit():
-            bit = int(name[1:])
-            waves[net] = ((b.words >> bit) & 1).astype(np.uint8)
-        else:
-            if zeros is None:
-                zeros = np.zeros(len(a.words), dtype=np.uint8)
-            waves[net] = zeros
-    return waves
+def _operand_bit(name: str) -> tuple[str, int] | None:
+    """('a' or 'b', bit) for an operand pin name; None for a control pin."""
+    if name[:1] in ("a", "b") and name[1:].isdigit():
+        return name[0], int(name[1:])
+    return None
 
 
 def constant_nets(netlist: Netlist) -> frozenset[int]:
@@ -77,8 +76,7 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
     """
     const: dict[int, int] = {}
     for net in netlist.primary_inputs:
-        name = netlist.nets[net].name
-        if not (name[0] in "ab" and name[1:].isdigit()):
+        if _operand_bit(netlist.nets[net].name) is None:
             const[net] = 0
     for gate in netlist.gates:
         ins = [const.get(i) for i in gate.inputs]
@@ -99,34 +97,136 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
             if out is not None and gate.kind == "NOR":
                 out = 1 - out
         elif len(known) == len(ins):
-            out = _OPS[gate.kind](*known) & 1
+            op, invert = _GATES[gate.kind]
+            out = (int(op(*known)) ^ invert) & 1
         if out is not None:
             const[gate.output] = out
     return frozenset(const)
 
 
-def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
-    """Return the full value waveform (uint8 array) for every net."""
-    values = _input_waves(netlist, a, b)
+def _net_rows(netlist: Netlist) -> tuple[int, ...]:
+    """Net id held by each buffer row: primary inputs, then gate outputs."""
+    return netlist.primary_inputs + netlist.gate_output_nets()
+
+
+def _chunks(netlist: Netlist, a: StimulusStream, b: StimulusStream):
+    """Evaluate the netlist chunk by chunk.
+
+    Yields `(values, vectors)`: `values` is a (nets x words) packed view,
+    rows ordered as `_net_rows`, holding `vectors` vectors; bits past them
+    in the last word are undefined.  The view is overwritten by the next
+    chunk.
+    """
+    if a.bit_width != netlist.width or b.bit_width != netlist.width:
+        raise ValueError("stream width does not match netlist operand width")
+    if len(a.words) != len(b.words):
+        raise ValueError("operand streams must have equal length")
+    rows = _net_rows(netlist)
+    row_of = {net: k for k, net in enumerate(rows)}
+    operands = {"a": np.ascontiguousarray(a.words, "<i8"),
+                "b": np.ascontiguousarray(b.words, "<i8")}
+    nbytes = -(-netlist.width // 8)
+    sources = []  # control pins are never written, so they stay low
+    for k, net in enumerate(netlist.primary_inputs):
+        pin = _operand_bit(netlist.nets[net].name)
+        if pin is not None:
+            sources.append((k, pin[0], pin[1]))
+    program = []
     for gate in netlist.gates:
-        op = _OPS[gate.kind]
-        ins = [values[i] for i in gate.inputs]
-        values[gate.output] = op(*ins)
-    return values
+        op, invert = _GATES[gate.kind]
+        program.append((op, tuple(row_of[i] for i in gate.inputs),
+                        row_of[gate.output], invert))
+
+    total = len(a.words)
+    step = CHUNK_WORDS * 64
+    buf = np.zeros((len(rows), min(CHUNK_WORDS, -(-total // 64))), _WORD)
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        values = buf[:, :-(-(stop - start) // 64)]
+        view = list(values)
+        # byte planes: planes[name][j][t] is byte j of operand word t
+        planes = {
+            name: np.ascontiguousarray(
+                words[start:stop].view(np.uint8).reshape(-1, 8)[:, :nbytes].T)
+            for name, words in operands.items()
+        }
+        for k, name, bit in sources:
+            packed = np.packbits((planes[name][bit >> 3] >> (bit & 7)) & 1,
+                                 bitorder="little")
+            view[k].view(np.uint8)[:packed.size] = packed
+        for op, ins, out, invert in program:
+            dst = view[out]
+            if len(ins) == 2:
+                op(view[ins[0]], view[ins[1]], out=dst)
+            else:
+                op(view[ins[0]], out=dst)
+            if invert:
+                np.invert(dst, out=dst)
+        yield values, stop - start
+
+
+def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
+    """Return the full value waveform (uint8 array) for every net.
+
+    This unpacks the simulator's packed words, so it holds one byte per net
+    per vector; it is meant for checking the simulator, not for census runs.
+    """
+    rows = _net_rows(netlist)
+    waves = np.empty((len(rows), len(a.words)), np.uint8)
+    start = 0
+    for values, n in _chunks(netlist, a, b):
+        waves[:, start:start + n] = np.unpackbits(
+            values.view(np.uint8), axis=1, count=n, bitorder="little")
+        start += n
+    return dict(zip(rows, waves))
+
+
+def _count_toggles(values, vectors: int, first: bool, carry, counts) -> None:
+    """Add one chunk's transitions per row to `counts`.
+
+    `carry` holds each row's last vector of the previous chunk (as bit 0)
+    and is updated to this chunk's last vector.  Vector 0 of the first
+    chunk has no predecessor and bits past `vectors` are padding; both are
+    masked out.
+    """
+    nrows, nwords = values.shape
+    tail = vectors - 64 * (nwords - 1)
+    tail_mask = _WORD.type((1 << tail) - 1)
+    block = min(_CENSUS_ROWS, nrows)
+    diff = np.empty((block, nwords), _WORD)
+    prev = np.empty((block, nwords), _WORD)
+    pop = np.empty((block, nwords), np.uint8)
+    for r in range(0, nrows, block):
+        x = values[r:r + block]
+        m = x.shape[0]
+        d, p, c = diff[:m], prev[:m], pop[:m]
+        # p holds, at each bit, the value of the vector before it
+        np.right_shift(x[:, :-1], 63, out=p[:, 1:])
+        p[:, 0] = carry[r:r + m]
+        np.left_shift(x, 1, out=d)
+        np.bitwise_or(d, p, out=d)
+        np.bitwise_xor(d, x, out=d)
+        if first:
+            d[:, 0] &= ~_WORD.type(1)
+        d[:, -1] &= tail_mask
+        np.bitwise_count(d, out=c)
+        counts[r:r + m] += c.sum(axis=1, dtype=np.int64)
+        np.right_shift(x[:, -1], 63, out=carry[r:r + m])
 
 
 def simulate(netlist: Netlist, a: StimulusStream, b: StimulusStream) -> ToggleProfile:
     """Simulate both operand streams and count per-net transitions."""
-    values = evaluate(netlist, a, b)
     vectors = len(a.words)
     if vectors < 2:
         raise ValueError("need at least two vectors to count transitions")
+    rows = _net_rows(netlist)
+    counts = np.zeros(len(rows), np.int64)
+    carry = np.zeros(len(rows), _WORD)
+    for k, (values, n) in enumerate(_chunks(netlist, a, b)):
+        _count_toggles(values, n, k == 0, carry, counts)
     dead = constant_nets(netlist)
-    toggles = {
-        net: int(np.count_nonzero(wave[1:] != wave[:-1]))
-        for net, wave in values.items()
-        if net not in dead
-    }
+    toggles = {net: count for net, count in zip(rows, counts.tolist())
+               if net not in dead}
     return ToggleProfile(vectors=vectors, toggles=toggles)
 
 
@@ -148,10 +248,9 @@ def export_activity(netlist: Netlist, profile: ToggleProfile, path) -> None:
             ["net_id", "net_name", "block", "slice", "toggles",
              "vectors", "probability"]
         )
-        driver = {g.output: g for g in netlist.gates}
         for net_id in sorted(profile.toggles):
             net = netlist.nets[net_id]
-            gate = driver.get(net_id)
+            gate = netlist.driver_of(net_id)
             block = gate.block if gate else ""
             bit_slice = gate.bit_slice if gate else net.bit_slice
             writer.writerow(

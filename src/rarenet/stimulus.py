@@ -47,11 +47,12 @@ def generate(target: WordStats, length: int, seed: int) -> StimulusStream:
     w = rng.standard_normal(length + _WARMUP)
     rho = target.rho
     scale = math.sqrt(max(0.0, 1.0 - rho * rho))
-    y = np.empty(length + _WARMUP)
-    y[0] = w[0]
-    for t in range(1, length + _WARMUP):
-        y[t] = rho * y[t - 1] + scale * w[t]
-    y = y[_WARMUP:]
+    # the recurrence runs on Python floats: the same IEEE operations in the
+    # same order as elementwise numpy, without per-element array access
+    y = [float(w[0])]
+    for drive in (scale * w[1:]).tolist():
+        y.append(rho * y[-1] + drive)
+    y = np.array(y[_WARMUP:])
     x = np.rint(target.mean + target.std_dev * y)
     lo = float(target.min_value)
     hi = float(target.max_value)
@@ -66,7 +67,7 @@ def dump_stream(stream: StimulusStream) -> str:
         f"width={stream.bit_width} seed={stream.seed} "
         f"mu={t.mean!r} sigma={t.std_dev!r} rho={t.rho!r}"
     ]
-    lines.extend(str(int(v)) for v in stream.words)
+    lines.extend(map(str, stream.words.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -75,11 +76,15 @@ def parse_stream(text: str) -> StimulusStream:
     if not lines:
         raise ValueError("empty stream file")
     header = dict(item.split("=", 1) for item in lines[0].split())
+    missing = [k for k in ("width", "seed", "mu", "sigma", "rho")
+               if k not in header]
+    if missing:
+        raise ValueError(f"stream header lacks {', '.join(missing)}")
     width = int(header["width"])
     seed = int(header["seed"])
     target = WordStats(
         float(header["mu"]), float(header["sigma"]), float(header["rho"]), width)
-    words = np.array([int(s) for s in lines[1:]], dtype=np.int64)
+    words = np.array(list(map(int, lines[1:])), dtype=np.int64)
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
     if words.size and (words.min() < lo or words.max() > hi):
         raise ValueError(f"stream word out of {width}-bit range")

@@ -108,6 +108,47 @@ def test_cli_simulate_pipeline(tmp_path):
     assert len(lines) > 40
 
 
+def _simulate_inputs(tmp_path):
+    """RCA:4 netlist and two 20-vector streams written through the CLI."""
+    net = tmp_path / "n.net"
+    streams = []
+    assert main(["build-netlist", "--arch", "RCA:4", "--out", str(net)]) == 0
+    for seed in (1, 2):
+        path = tmp_path / f"s{seed}.txt"
+        assert main(["gen-vectors", "--width", "4", "--std", "1",
+                     "--rho", "0.5", "--vectors", "20", "--seed", str(seed),
+                     "--out", str(path)]) == 0
+        streams.append(path)
+    return net, streams
+
+
+def test_cli_simulate_stream_header_missing_key_exits_2(tmp_path, capsys):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    header, body = sa.read_text().split("\n", 1)
+    sa.write_text(" ".join(f for f in header.split()
+                           if not f.startswith("seed=")) + "\n" + body)
+    rc = main(["simulate", "--netlist", str(net), "--stream-a", str(sa),
+               "--stream-b", str(sb), "--out", str(tmp_path / "act.csv")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_cli_simulate_malformed_netlist_exits_2(tmp_path, capsys):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    lines = net.read_text().splitlines()
+    # re-point one gate input at a net that nothing drives
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("gate "))
+    fields = lines[k].split()
+    fields = [f"in=999,{f.split(',')[1]}" if f.startswith("in=") else f
+              for f in fields]
+    lines[k] = " ".join(fields)
+    net.write_text("\n".join(lines) + "\n")
+    rc = main(["simulate", "--netlist", str(net), "--stream-a", str(sa),
+               "--stream-b", str(sb), "--out", str(tmp_path / "act.csv")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_estimate_prints_summary(capsys):
     rc = main(["estimate", "--arch", "RCA:16", "--std", "1024",
                "--rho", "0.99"])

@@ -1,10 +1,14 @@
+import gc
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rarenet.archlib import ALL_KINDS
-from rarenet.simulate import ToggleProfile, evaluate, export_activity, rare_nets, simulate
+from rarenet.simulate import (CHUNK_WORDS, ToggleProfile, evaluate,
+                              export_activity, rare_nets, simulate)
 from rarenet.stats import WordStats
 from rarenet.stimulus import generate
 
@@ -89,20 +93,63 @@ def test_toggle_counts_hand_cases(netlist_of):
     assert prof.probability(s0) == 1.0
 
 
-def test_toggle_count_matches_reference(netlist_of):
-    nl = netlist_of("CSA", 8)
-    rng = np.random.default_rng(23)
-    a = rng.integers(-128, 128, 500)
-    b = rng.integers(-128, 128, 500)
-    prof = simulate(nl, make_stream(a, 8), make_stream(b, 8))
+def assert_toggles_match_reference(nl, vectors, seed=23):
+    half = 1 << (nl.width - 1)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-half, half, vectors)
+    b = rng.integers(-half, half, vectors)
+    prof = simulate(nl, make_stream(a, nl.width), make_stream(b, nl.width))
     ref = bigint_reference(nl, a, b)
     for net, acc in ref.items():
         if net not in prof.toggles:
             # census skips nets made constant by the tied carry-in
-            assert acc in (0, (1 << 500) - 1)
+            assert acc in (0, (1 << vectors) - 1)
             continue
-        flips = bin((acc ^ (acc >> 1)) & ((1 << 499) - 1)).count("1")
-        assert prof.toggles[net] == flips
+        flips = (acc ^ (acc >> 1)) & ((1 << (vectors - 1)) - 1)
+        assert prof.toggles[net] == flips.bit_count(), nl.nets[net].name
+
+
+# 63/64/65 straddle the first packed-word boundary
+@pytest.mark.parametrize("vectors", [2, 63, 64, 65, 500])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_toggle_count_matches_reference(kind, vectors, netlist_of):
+    assert_toggles_match_reference(netlist_of(kind, 8), vectors)
+
+
+def test_toggle_count_matches_reference_across_chunks(netlist_of):
+    # one vector past the first chunk: the census carries into a chunk of one
+    assert CHUNK_WORDS * 64 == 65_536
+    assert_toggles_match_reference(netlist_of("RCA", 4), 65_537)
+
+
+def test_one_word_chunks_match_reference(netlist_of, monkeypatch):
+    # the package attribute `rarenet.simulate` is the function, not the module
+    monkeypatch.setattr(sys.modules["rarenet.simulate"], "CHUNK_WORDS", 1)
+    nl = netlist_of("CSA", 8)
+    assert_toggles_match_reference(nl, 500)
+    rng = np.random.default_rng(3)
+    a = rng.integers(-128, 128, 300)
+    b = rng.integers(-128, 128, 300)
+    got = evaluate(nl, make_stream(a, 8), make_stream(b, 8))
+    ref = bigint_reference(nl, a, b)
+    assert all(as_int(wave) == ref[net] for net, wave in got.items())
+
+
+def test_simulate_memory_is_bounded_in_vector_count(netlist_of):
+    nl = netlist_of("VEDIC", 16)
+    rng = np.random.default_rng(5)
+    peaks = []
+    for vectors in (65_536, 262_144):
+        a = make_stream(rng.integers(-(1 << 15), 1 << 15, vectors), 16)
+        b = make_stream(rng.integers(-(1 << 15), 1 << 15, vectors), 16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            simulate(nl, a, b)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_constant_nets_from_tied_carry_in(netlist_of):
