@@ -26,11 +26,9 @@ from .simulate import (ToggleProfile, constant_nets, evaluate, export_activity,
 from .estimate import (
     RareNetReport,
     estimate_rare_nets,
-    least_rare_module,
     compare,
     sweep_bp1,
     solve_sigma_for_bp1,
-    default_sweep_mean,
 )
 
 __version__ = "0.1.0"
@@ -46,6 +44,6 @@ __all__ = [
     "ADDER_KINDS", "MULTIPLIER_KINDS",
     "ToggleProfile", "simulate", "evaluate", "rare_nets", "export_activity",
     "constant_nets",
-    "RareNetReport", "estimate_rare_nets", "least_rare_module",
-    "compare", "sweep_bp1", "solve_sigma_for_bp1", "default_sweep_mean",
+    "RareNetReport", "estimate_rare_nets",
+    "compare", "sweep_bp1", "solve_sigma_for_bp1",
 ]

@@ -8,6 +8,8 @@ marks the run incomplete), 2 invalid configuration or usage.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,11 +17,10 @@ from pathlib import Path
 from .archlib import ALL_KINDS, build_architecture
 from .config import (ConfigError, ExperimentConfig, default_bp1_targets,
                      load_config)
-from .estimate import (FLAG_ZERO_SIMULATED, check_report, compare,
-                       default_sweep_mean, estimate_rare_nets,
-                       solve_sigma_for_bp1, write_report_csv)
+from .estimate import (check_report, compare, estimate_rare_nets,
+                       solve_sigma_for_bp1, sweep_bp1, write_report_csv)
 from .netlist import NetlistError, load_netlist, save_netlist
-from .simulate import export_activity, rare_nets, simulate
+from .simulate import export_activity, simulate
 from .stats import WordStats, breakpoints
 from .stimulus import generate, load_stream, save_stream
 
@@ -104,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--bp1", type=int, action="append", required=True,
                    help="target column (repeatable)")
-    p.add_argument("--mean", type=float, default=None)
+    p.add_argument("--mean", type=float, default=0.0)
     p.add_argument("--vectors", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None, help="optional report CSV")
@@ -181,20 +182,16 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     kind, width = args.arch
     netlist = build_architecture(kind, width)
-    mean = default_sweep_mean(width) if args.mean is None else args.mean
-    reports = []
-    for bp1 in sorted(args.bp1):
-        sigma = solve_sigma_for_bp1(bp1, args.rho)
-        target = WordStats(mean, sigma, args.rho, width)
-        rep = compare(netlist, target, target, args.threshold,
-                      args.vectors, args.seed)
-        reports.append(rep)
-        print(f"bp1={bp1} sigma={sigma:.3f} p_est={rep.estimated_count} "
-              f"p_sim={rep.simulated_count} error={rep.abs_error:.6f}")
-    mean_err = sum(r.abs_error for r in reports) / len(reports)
-    print(f"mean_error={mean_err:.6f}")
+    res = sweep_bp1(netlist, args.rho, args.threshold, args.bp1,
+                    args.vectors, args.seed, args.mean)
+    for p in res.points:
+        rep = p.report
+        print(f"bp1={p.bp1_target} sigma={p.sigma:.3f} "
+              f"p_est={rep.estimated_count} p_sim={rep.simulated_count} "
+              f"error={rep.abs_error:.6f}")
+    print(f"mean_error={res.mean_error:.6f}")
     if args.out:
-        write_report_csv(reports, args.out)
+        write_report_csv(res.reports, args.out)
     return 0
 
 
@@ -202,8 +199,12 @@ def _cmd_locate(args) -> int:
     kind, width = args.arch
     netlist = build_architecture(kind, width)
     sa, sb = _stats_pair(args, width)
-    rep = estimate_rare_nets(netlist, breakpoints(sa), breakpoints(sb),
-                             args.threshold)
+    if args.no_sim:
+        rep = estimate_rare_nets(netlist, breakpoints(sa), breakpoints(sb),
+                                 args.threshold)
+    else:
+        rep = compare(netlist, sa, sb, args.threshold, args.vectors,
+                      args.seed)
     top = netlist.output_width - 1
     print(f"arch={rep.arch} width={rep.width} vulnerable columns "
           f"{rep.bp.bp1}..{top} ({rep.estimated_count} nets)")
@@ -211,14 +212,9 @@ def _cmd_locate(args) -> int:
         print(f"  {block}: {count}")
     if args.no_sim:
         return 0
-    stream_a = generate(sa, args.vectors, args.seed)
-    stream_b = generate(sb, args.vectors, args.seed + 1)
-    profile = simulate(netlist, stream_a, stream_b)
-    gate_nets = frozenset(g.output for g in netlist.gates)
-    simulated = sorted(rare_nets(profile, args.threshold) & gate_nets)
     print(f"simulated rare nets at threshold {args.threshold}: "
-          f"{len(simulated)}")
-    for net_id in simulated:
+          f"{rep.simulated_count}")
+    for net_id in sorted(rep.simulated_nets):
         gate = netlist.driver_of(net_id)
         where = "inside" if net_id in rep.estimated_nets else "outside"
         print(f"  {netlist.nets[net_id].name} (block {gate.block}, "
@@ -250,17 +246,15 @@ def run(cfg: ExperimentConfig) -> int:
             manifest.append(rel)
 
         # one stream pair per (width, target); shared across architectures
-        threshold = cfg.thresholds[0]
-        streams: dict[tuple[int, int], tuple] = {}
-        targets_by_width: dict[int, list[int]] = {}
+        (threshold,) = cfg.thresholds
+        streams: dict[int, list[tuple]] = {}
         for width in sorted({w for _, w in cfg.architectures}):
             targets = cfg.bp1_targets or default_bp1_targets(width)
-            mean = default_sweep_mean(width)
-            usable = []
+            streams[width] = []
             for t in sorted(targets):
-                sigma = solve_sigma_for_bp1(t, cfg.rho_a)
-                st_a = WordStats(mean, sigma, cfg.rho_a, width)
-                st_b = WordStats(mean, sigma, cfg.rho_b, width)
+                st_a, st_b = (
+                    WordStats(0.0, solve_sigma_for_bp1(t, rho), rho, width)
+                    for rho in (cfg.rho_a, cfg.rho_b))
                 if not (st_a.fits_range() and st_b.fits_range()):
                     continue
                 sa = generate(st_a, cfg.vectors, cfg.seed)
@@ -269,17 +263,13 @@ def run(cfg: ExperimentConfig) -> int:
                     rel = f"streams/w{width}_bp{t}_{tag}.txt"
                     save_stream(stream, out / rel)
                     manifest.append(rel)
-                streams[(width, t)] = (st_a, st_b, sa, sb)
-                usable.append(t)
-            targets_by_width[width] = usable
+                streams[width].append((t, st_a, st_b, sa, sb))
 
         summary = []
         for kind, width in cfg.architectures:
             nl = netlists[(kind, width)]
-            gate_nets = frozenset(g.output for g in nl.gates)
             reports = []
-            for t in targets_by_width[width]:
-                st_a, st_b, sa, sb = streams[(width, t)]
+            for t, st_a, st_b, sa, sb in streams[width]:
                 rep = estimate_rare_nets(nl, breakpoints(st_a),
                                          breakpoints(st_b), threshold)
                 rep = replace(rep, stats_a=st_a, stats_b=st_b)
@@ -287,14 +277,7 @@ def run(cfg: ExperimentConfig) -> int:
                 rel = f"activity/{kind.lower()}{width}_bp{t}.csv"
                 export_activity(nl, profile, out / rel)
                 manifest.append(rel)
-                simulated = rare_nets(profile, threshold) & gate_nets
-                err = (abs(len(simulated) - rep.estimated_count)
-                       / max(len(simulated), 1))
-                flags = rep.flags
-                if not simulated:
-                    flags = flags + (FLAG_ZERO_SIMULATED,)
-                reports.append(replace(rep, simulated_count=len(simulated),
-                                       abs_error=err, flags=flags))
+                reports.append(check_report(nl, rep, profile))
             rel = f"reports/sweep_{kind.lower()}{width}.csv"
             write_report_csv(reports, out / rel)
             manifest.append(rel)
@@ -344,7 +327,34 @@ _COMMANDS = {
 }
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds at their 32/64 MiB ceilings.
+
+    glibc starts them at 128 KiB and raises them as large blocks are
+    freed, so after the first large simulation the simulator's buffers
+    are recycled in the heap.  Whether that heap was also trimmed between
+    commands depended on where small long-lived objects happened to land,
+    so a batch's peak RSS moved by about 9 MB from one process to the
+    next.  Starting at the ceilings gives every process the same steady
+    state from the first command on.  Runs once per process; no-op where
+    the C library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -4,17 +4,16 @@ Grammar: one `key=value` pair per line; blank lines and lines starting
 with `#` are ignored.  Lists are comma-separated.  Architectures are
 written `KIND:WIDTH`.  `parse(emit(cfg))` returns an equal config.
 
-Word statistics are stored width-free (mean, std, rho per operand) and
-bound to a concrete bit width when an architecture is instantiated, so a
-single config can drive a multi-width batch.
+Operand statistics are stored width-free: only each operand's lag-1
+correlation is configured.  For every boundary target and width, the
+batch solves each operand's sigma from that target and the operand's own
+rho, at zero mean, so a single config can drive a multi-width batch.
+`thresholds` holds exactly one rare-net threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-
-from .estimate import DEFAULT_THRESHOLDS
-from .stats import WordStats
+from dataclasses import dataclass, fields
 
 
 class ConfigError(Exception):
@@ -24,13 +23,9 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     architectures: tuple[tuple[str, int], ...]
-    mean_a: float = 0.0
-    std_a: float = 1024.0
     rho_a: float = 0.99
-    mean_b: float = 0.0
-    std_b: float = 1024.0
     rho_b: float = 0.99
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = (1e-6,)
     bp1_targets: tuple[int, ...] = ()
     vectors: int = 10_000
     seed: int = 1
@@ -41,21 +36,15 @@ class ExperimentConfig:
             raise ConfigError("architectures must be non-empty")
         if self.vectors < 2:
             raise ConfigError("vectors must be >= 2")
-        if not self.thresholds:
-            raise ConfigError("thresholds must be non-empty")
-        for t in self.thresholds:
-            if not 0.0 <= t <= 1.0:
-                raise ConfigError(f"threshold {t} outside [0, 1]")
-
-    def stats_a(self, bit_width: int) -> WordStats:
-        return WordStats(self.mean_a, self.std_a, self.rho_a, bit_width)
-
-    def stats_b(self, bit_width: int) -> WordStats:
-        return WordStats(self.mean_b, self.std_b, self.rho_b, bit_width)
+        if len(self.thresholds) != 1:
+            raise ConfigError(
+                f"thresholds must hold exactly one value, got {self.thresholds}")
+        if not 0.0 <= self.thresholds[0] <= 1.0:
+            raise ConfigError(f"threshold {self.thresholds[0]} outside [0, 1]")
 
 
 def default_bp1_targets(bit_width: int) -> tuple[int, ...]:
-    """Sweep targets that stay representable at the default sweep mean."""
+    """Sweep targets that stay representable at zero mean."""
     return tuple(range(bit_width // 2 - 2, bit_width - 2))
 
 
@@ -73,6 +62,17 @@ def emit(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _arch(item: str) -> tuple[str, int]:
+    kind, _, w = item.partition(":")
+    return kind.strip().upper(), int(w)
+
+
+# key -> parser of its value; list-valued keys parse each comma-separated item
+_SCALARS = {"rho_a": float, "rho_b": float, "vectors": int, "seed": int,
+            "output_dir": str}
+_LISTS = {"architectures": _arch, "thresholds": float, "bp1_targets": int}
+
+
 def parse(text: str) -> ExperimentConfig:
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -84,35 +84,17 @@ def parse(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         raw[key.strip()] = value.strip()
 
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-
-    kwargs: dict = {}
+    if "architectures" not in raw:
+        raise ConfigError("missing required key: architectures")
     try:
-        if "architectures" in raw:
-            archs = []
-            for item in filter(None, raw["architectures"].split(",")):
-                kind, _, w = item.partition(":")
-                archs.append((kind.strip().upper(), int(w)))
-            kwargs["architectures"] = tuple(archs)
-        else:
-            raise ConfigError("missing required key: architectures")
-        for key in ("mean_a", "std_a", "rho_a", "mean_b", "std_b", "rho_b"):
-            if key in raw:
-                kwargs[key] = float(raw[key])
-        if "thresholds" in raw:
-            kwargs["thresholds"] = tuple(
-                float(x) for x in filter(None, raw["thresholds"].split(",")))
-        if "bp1_targets" in raw:
-            kwargs["bp1_targets"] = tuple(
-                int(x) for x in filter(None, raw["bp1_targets"].split(",")))
-        for key in ("vectors", "seed"):
-            if key in raw:
-                kwargs[key] = int(raw[key])
-        if "output_dir" in raw:
-            kwargs["output_dir"] = raw["output_dir"]
+        kwargs = {
+            key: (tuple(map(_LISTS[key], filter(None, value.split(","))))
+                  if key in _LISTS else _SCALARS[key](value))
+            for key, value in raw.items()
+        }
     except ValueError as exc:
         raise ConfigError(f"bad value: {exc}") from exc
     return ExperimentConfig(**kwargs)

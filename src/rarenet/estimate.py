@@ -8,27 +8,25 @@ operand log-magnitudes add, so the product-side boundary is taken as the
 sum of the two operand boundaries (clamped to the product width); reports
 carry a flag marking this modeling assumption.
 
-Cross-check utilities simulate the same netlist under matching stimulus
-and score the prediction with the relative count error
-|simulated - estimated| / max(simulated, 1); points where the simulation
-found no rare nets are flagged rather than dropped.
+`check_report` is the one place a prediction is scored: it takes the
+simulated rare set (gate-output nets at or below the report's threshold)
+from a toggle profile, and the report derives the relative count error
+|simulated - estimated| / max(simulated, 1) from it; points where the
+simulation found no rare nets are flagged rather than dropped.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 
 from .netlist import Netlist, slice_nets
-from .simulate import rare_nets, simulate
+from .simulate import ToggleProfile, rare_nets, simulate
 from .stats import Breakpoints, WordStats, breakpoints, combined_breakpoints, rho_msb
-from .stimulus import StimulusStream, generate
+from .stimulus import generate
 
 FLAG_PRODUCT_MAPPING = "product-region-mapping"
 FLAG_ZERO_SIMULATED = "zero-simulated-count"
-
-DEFAULT_THRESHOLDS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -42,11 +40,20 @@ class RareNetReport:
     estimated_count: int
     contributing_blocks: tuple[tuple[str, int], ...]
     estimated_nets: frozenset[int] = field(repr=False, default=frozenset())
-    simulated_count: int | None = None
-    abs_error: float | None = None
+    simulated_nets: frozenset[int] | None = field(repr=False, default=None)
     flags: tuple[str, ...] = ()
     stats_a: WordStats | None = None
     stats_b: WordStats | None = None
+
+    @property
+    def simulated_count(self) -> int | None:
+        return None if self.simulated_nets is None else len(self.simulated_nets)
+
+    @property
+    def abs_error(self) -> float | None:
+        """Relative count error |simulated - estimated| / max(simulated, 1)."""
+        n = self.simulated_count
+        return None if n is None else abs(n - self.estimated_count) / max(n, 1)
 
 
 def effective_slice_start(netlist: Netlist, bp_a: Breakpoints,
@@ -86,18 +93,17 @@ def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints,
 
 
 def check_report(netlist: Netlist, report: RareNetReport,
-                 stream_a: StimulusStream,
-                 stream_b: StimulusStream) -> RareNetReport:
-    """Attach simulated rare-net counts and the relative error to a report."""
-    profile = simulate(netlist, stream_a, stream_b)
-    gate_nets = frozenset(g.output for g in netlist.gates)
-    simulated = rare_nets(profile, report.threshold) & gate_nets
-    err = abs(len(simulated) - report.estimated_count) / max(len(simulated), 1)
+                 profile: ToggleProfile) -> RareNetReport:
+    """Attach the simulated rare-net set of `profile` to a report.
+
+    Only gate outputs count: primary inputs switch as the stimulus says.
+    """
+    simulated = frozenset(net for net in rare_nets(profile, report.threshold)
+                          if netlist.driver_of(net) is not None)
     flags = report.flags
     if not simulated:
         flags = flags + (FLAG_ZERO_SIMULATED,)
-    return replace(report, simulated_count=len(simulated), abs_error=err,
-                   flags=flags)
+    return replace(report, simulated_nets=simulated, flags=flags)
 
 
 def compare(netlist: Netlist, stats_a: WordStats, stats_b: WordStats,
@@ -111,17 +117,9 @@ def compare(netlist: Netlist, stats_a: WordStats, stats_b: WordStats,
     rep = estimate_rare_nets(netlist, breakpoints(stats_a),
                              breakpoints(stats_b), threshold)
     rep = replace(rep, stats_a=stats_a, stats_b=stats_b)
-    sa = generate(stats_a, stream_len, seed)
-    sb = generate(stats_b, stream_len, seed + 1)
-    return check_report(netlist, rep, sa, sb)
-
-
-def least_rare_module(reports) -> str:
-    """Architecture with the fewest estimated rare nets (ties: name order)."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to rank")
-    return min(reports, key=lambda r: (r.estimated_count, r.arch)).arch
+    profile = simulate(netlist, generate(stats_a, stream_len, seed),
+                       generate(stats_b, stream_len, seed + 1))
+    return check_report(netlist, rep, profile)
 
 
 # -------------------------------------------------------------------- sweep
@@ -132,18 +130,6 @@ def solve_sigma_for_bp1(bp1: int, rho: float) -> float:
     if r >= 1.0:
         raise ValueError("perfectly correlated words have no finite boundary")
     return 2.0 ** bp1 / (6.0 * (1.0 - r) ** 0.5)
-
-
-def default_sweep_mean(bit_width: int) -> float:
-    """Sweep operating point: zero mean.
-
-    The bit-level activity model is derived for zero-mean Gaussian words,
-    so sweeps default to the same operating point; under it the estimate
-    stays an upper bound on the simulated rare-net count for every
-    supported architecture.  Callers can pass an explicit mean to study
-    offset operating points.
-    """
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -168,16 +154,17 @@ class SweepResult:
 
 def sweep_bp1(netlist: Netlist, rho: float, threshold: float, bp1_targets,
               stream_len: int = 10_000, seed: int = 1,
-              mean: float | None = None) -> SweepResult:
+              mean: float = 0.0) -> SweepResult:
     """Score the estimator across operating points of increasing magnitude.
 
     Each target boundary column is converted to the word sigma that
     realizes it; estimate and simulation are then compared at that
     operating point.  Points are evaluated in sorted target order so the
-    result is reproducible.
+    result is reproducible.  The mean defaults to zero, the operating
+    point the bit-level activity model is derived for; under it the
+    estimate stays an upper bound on the simulated rare-net count for
+    every supported architecture.
     """
-    if mean is None:
-        mean = default_sweep_mean(netlist.width)
     points = []
     for bp1 in sorted(bp1_targets):
         sigma = solve_sigma_for_bp1(bp1, rho)
@@ -214,14 +201,3 @@ def write_report_csv(reports, path) -> None:
         for rep in reports:
             writer.writerow(_report_row(rep))
 
-
-def write_report_json(reports, path) -> None:
-    rows = []
-    for rep in reports:
-        row = _report_row(rep)
-        row["contributing_blocks"] = [list(b) for b in rep.contributing_blocks]
-        row["flags"] = list(rep.flags)
-        rows.append(row)
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -22,6 +22,14 @@ class NetlistError(Exception):
     """Raised for structural violations (cycles, missing drivers, bad arity)."""
 
 
+def operand_bit(name: str) -> tuple[str, int] | None:
+    """('a' or 'b', bit) for an operand pin name `a<k>`/`b<k>`, else None."""
+    digits = name[1:]
+    if name[:1] in ("a", "b") and digits.isascii() and digits.isdigit():
+        return name[0], int(digits)
+    return None
+
+
 @dataclass(frozen=True)
 class Net:
     id: int
@@ -80,12 +88,21 @@ class Netlist:
         pis = set(self.primary_inputs)
         if len(self._driver) != len(self.gates):
             raise NetlistError("a net has more than one driver")
+        pins = set()
         for nid in pis:
+            if nid not in by_id:
+                raise NetlistError(f"unknown primary input net {nid}")
             if nid in self._driver:
                 raise NetlistError(f"primary input net {nid} has a gate driver")
-        seen_outputs = [g.output for g in self.gates]
-        if len(set(seen_outputs)) != len(seen_outputs):
-            raise NetlistError("duplicate gate output net")
+            name = by_id[nid].name
+            pin = operand_bit(name)
+            if name != "cin" and (pin is None or pin[1] >= self.width):
+                raise NetlistError(
+                    f"primary input {name!r} is neither cin nor a<k>/b<k> "
+                    f"with k < {self.width}")
+            pins.add(pin or name)
+        if len(pins) != len(pis):
+            raise NetlistError("two primary inputs name the same pin")
         available = set(pis)
         for g in self.gates:
             if g.kind not in GATE_ARITY:
@@ -188,29 +205,34 @@ def export_netlist(netlist: Netlist) -> str:
 
 def import_netlist(text: str) -> Netlist:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    header = dict(item.split("=", 1) for item in lines[0].split())
-    name = header["arch"]
-    width = int(header["width"])
+    if not lines:
+        raise NetlistError("empty netlist")
     raw_nets: dict[int, tuple[str, bool]] = {}
     gates: list[Gate] = []
     outputs: list[int] = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines):
         parts = ln.split()
-        if parts[0] == "net":
-            nid = int(parts[1])
-            raw_nets[nid] = (parts[2], "pi" in parts[3:])
-        elif parts[0] == "gate":
-            gid = int(parts[1])
-            kind = parts[2]
-            fields = dict(p.split("=", 1) for p in parts[3:])
-            gates.append(Gate(gid, kind,
-                              tuple(int(s) for s in fields["in"].split(",")),
-                              int(fields["out"]), int(fields["slice"]),
-                              fields["block"]))
-        elif parts[0] == "outputs":
-            outputs = [int(s) for s in parts[1].split(",")]
-        else:
-            raise NetlistError(f"unparseable line: {ln}")
+        try:
+            if lineno == 0:
+                header = dict(item.split("=", 1) for item in parts)
+                name = header["arch"]
+                width = int(header["width"])
+            elif parts[0] == "net":
+                nid = int(parts[1])
+                raw_nets[nid] = (parts[2], "pi" in parts[3:])
+            elif parts[0] == "gate":
+                fields = dict(p.split("=", 1) for p in parts[3:])
+                gates.append(Gate(int(parts[1]), parts[2],
+                                  tuple(int(s) for s in fields["in"].split(",")),
+                                  int(fields["out"]), int(fields["slice"]),
+                                  fields["block"]))
+            elif parts[0] == "outputs":
+                outputs = [int(s) for s in parts[1].split(",")]
+            else:
+                raise NetlistError(f"unparseable line: {ln}")
+        except (KeyError, IndexError, ValueError) as exc:
+            raise NetlistError(
+                f"malformed line {ln!r} ({type(exc).__name__}: {exc})") from None
     gates.sort(key=lambda g: g.id)
     gates = _topo_sort(gates, {nid for nid, (_, pi) in raw_nets.items() if pi})
     slice_of: dict[int, int] = {g.output: g.bit_slice for g in gates}
@@ -219,8 +241,8 @@ def import_netlist(text: str) -> Netlist:
     for nid in sorted(raw_nets):
         nm, is_pi = raw_nets[nid]
         if is_pi:
-            digits = "".join(c for c in nm if c.isdigit())
-            sl = int(digits) if digits else 0
+            pin = operand_bit(nm)
+            sl = pin[1] if pin else 0
             pis.append(nid)
         else:
             sl = slice_of.get(nid, 0)

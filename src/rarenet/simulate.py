@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .netlist import Netlist
+from .netlist import Netlist, operand_bit
 from .stimulus import StimulusStream
 
 CHUNK_WORDS = 1024  # 65,536 vectors per chunk
@@ -60,13 +60,6 @@ class ToggleProfile:
         return self.toggles[net_id] / (self.vectors - 1)
 
 
-def _operand_bit(name: str) -> tuple[str, int] | None:
-    """('a' or 'b', bit) for an operand pin name; None for a control pin."""
-    if name[:1] in ("a", "b") and name[1:].isdigit():
-        return name[0], int(name[1:])
-    return None
-
-
 def constant_nets(netlist: Netlist) -> frozenset[int]:
     """Nets whose value is fixed by tied control pins (carry-in is held low).
 
@@ -76,7 +69,7 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
     """
     const: dict[int, int] = {}
     for net in netlist.primary_inputs:
-        if _operand_bit(netlist.nets[net].name) is None:
+        if operand_bit(netlist.nets[net].name) is None:
             const[net] = 0
     for gate in netlist.gates:
         ins = [const.get(i) for i in gate.inputs]
@@ -128,7 +121,7 @@ def _chunks(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     nbytes = -(-netlist.width // 8)
     sources = []  # control pins are never written, so they stay low
     for k, net in enumerate(netlist.primary_inputs):
-        pin = _operand_bit(netlist.nets[net].name)
+        pin = operand_bit(netlist.nets[net].name)
         if pin is not None:
             sources.append((k, pin[0], pin[1]))
     program = []

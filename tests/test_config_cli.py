@@ -1,3 +1,4 @@
+import csv
 import filecmp
 from pathlib import Path
 
@@ -45,6 +46,7 @@ def test_config_parse_accepts_comments_and_blanks():
     cfg = parse("# experiment\n\narchitectures = RCA:16\nvectors = 50\n")
     assert cfg.architectures == (("RCA", 16),)
     assert cfg.vectors == 50
+    assert cfg.thresholds == (1e-6,)
 
 
 def test_config_parse_rejects_bad_input():
@@ -65,6 +67,10 @@ def test_config_validation():
         small_config(vectors=1)
     with pytest.raises(ConfigError):
         small_config(thresholds=(2.0,))
+    with pytest.raises(ConfigError):
+        small_config(thresholds=(1e-3, 1e-4))
+    with pytest.raises(ConfigError):
+        small_config(thresholds=())
 
 
 def test_default_boundary_targets_by_width():
@@ -149,6 +155,40 @@ def test_cli_simulate_malformed_netlist_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _rewrite_netlist(net, edit):
+    """Apply `edit` to the lines of a netlist file in place."""
+    net.write_text("\n".join(edit(net.read_text().splitlines())) + "\n")
+
+
+def _simulate_exit_code(tmp_path, net, sa, sb):
+    return main(["simulate", "--netlist", str(net), "--stream-a", str(sa),
+                 "--stream-b", str(sb), "--out", str(tmp_path / "act.csv")])
+
+
+def test_cli_simulate_netlist_header_without_width_exits_2(tmp_path, capsys):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    _rewrite_netlist(net, lambda lines: ["arch=rca"] + lines[1:])
+    assert _simulate_exit_code(tmp_path, net, sa, sb) == 2
+    assert "arch=rca" in capsys.readouterr().err
+
+
+def test_cli_simulate_truncated_net_line_exits_2(tmp_path, capsys):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    _rewrite_netlist(net, lambda lines: [
+        "net 3" if ln.startswith("net 3 ") else ln for ln in lines])
+    assert _simulate_exit_code(tmp_path, net, sa, sb) == 2
+    assert "'net 3'" in capsys.readouterr().err
+
+
+def test_cli_simulate_unknown_primary_input_exits_2(tmp_path, capsys):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    # an unrecognised operand pin would otherwise be tied low silently
+    _rewrite_netlist(net, lambda lines: [
+        ln.replace(" a3 pi", " x3 pi") for ln in lines])
+    assert _simulate_exit_code(tmp_path, net, sa, sb) == 2
+    assert "x3" in capsys.readouterr().err
+
+
 def test_cli_estimate_prints_summary(capsys):
     rc = main(["estimate", "--arch", "RCA:16", "--std", "1024",
                "--rho", "0.99"])
@@ -221,6 +261,42 @@ def test_cli_replicate_is_deterministic(tmp_path):
 
 def test_cli_replicate_bad_config_exits_2(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("vectors = 100\n")
-    assert main(["replicate", "--config", str(path),
-                 "--out", str(tmp_path / "o")]) == 2
+    for text in ("vectors = 100\n",
+                 "architectures = RCA:8\nstd_a = 16\n",
+                 "architectures = RCA:8\nthresholds = 1e-4, 1e-3\n"):
+        path.write_text(text)
+        assert main(["replicate", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2, text
+
+
+GOLDEN_BATCH = Path(__file__).parent / "data" / "replicate_rca8_booth8"
+
+
+def test_cli_replicate_matches_golden_reports(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("architectures = RCA:8, BOOTH:8\nvectors = 2000\n"
+                    "thresholds = 1e-3\nbp1_targets = 3, 4\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["replicate", "--config", str(path), "--out", str(out)]) == 0
+    for rel in ("manifest.txt", "reports/summary.csv",
+                "reports/sweep_rca8.csv", "reports/sweep_booth8.csv"):
+        assert (out / rel).read_bytes() == (GOLDEN_BATCH / rel).read_bytes(), rel
+
+
+def test_cli_replicate_solves_sigma_per_operand(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("architectures = RCA:8\nvectors = 400\n"
+                    "thresholds = 1e-3\nbp1_targets = 3, 4\n"
+                    "rho_a = 0.99\nrho_b = 0.5\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["replicate", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "reports" / "sweep_rca8.csv", newline="") as fh:
+        assert [int(r["bp1"]) for r in csv.DictReader(fh)] == [3, 4]
+
+
+
+def test_malloc_thresholds_skipped_where_libc_has_no_mallopt(monkeypatch):
+    import rarenet.cli
+
+    monkeypatch.setattr(rarenet.cli.ctypes, "CDLL", lambda name: object())
+    assert rarenet.cli._fix_malloc_thresholds.__wrapped__() is None

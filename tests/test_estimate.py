@@ -1,20 +1,17 @@
 import csv
-import json
 
 import pytest
 
 from rarenet.estimate import (
     FLAG_PRODUCT_MAPPING,
     FLAG_ZERO_SIMULATED,
+    check_report,
     compare,
-    default_sweep_mean,
     effective_slice_start,
     estimate_rare_nets,
-    least_rare_module,
     solve_sigma_for_bp1,
     sweep_bp1,
     write_report_csv,
-    write_report_json,
 )
 from rarenet.netlist import slice_nets
 from rarenet.stats import Breakpoints, WordStats, breakpoints
@@ -76,22 +73,6 @@ def test_estimated_count_monotone_in_boundary(netlist_of):
         assert counts == sorted(counts, reverse=True), kind
 
 
-def test_least_rare_module_ranking(netlist_of):
-    reps = [
-        estimate_rare_nets(netlist_of(k, 16), Breakpoints(5, 8), Breakpoints(5, 8))
-        for k in ADDERS
-    ]
-    assert least_rare_module(reps) == "rca"
-    with pytest.raises(ValueError):
-        least_rare_module([])
-
-
-def test_least_rare_module_tie_breaks_on_name(netlist_of):
-    a = estimate_rare_nets(netlist_of("RCA", 16), Breakpoints(5, 8), Breakpoints(5, 8))
-    b = a.__class__(**{**a.__dict__, "arch": "aaa"})
-    assert least_rare_module([a, b]) == "aaa"
-
-
 def test_sigma_solve_round_trips_through_breakpoints():
     for bp1 in range(5, 14):
         sigma = solve_sigma_for_bp1(bp1, 0.99)
@@ -142,19 +123,18 @@ def test_offset_stimulus_localizes_rarity_to_high_slices(netlist_of):
     for kind in ADDERS:
         nl = netlist_of(kind, 16)
         rep = estimate_rare_nets(nl, breakpoints(st), breakpoints(st), 1e-5)
-        sim = simulated_rare(nl, st, rep.threshold)
+        sim = simulated_rare(nl, st, rep)
         assert sim, kind
         inside = len(sim & rep.estimated_nets)
         # prefix-tree adders keep a few rare carry nets below the boundary
         assert inside / len(sim) >= 0.85, (kind, inside, len(sim))
 
 
-def simulated_rare(nl, st, threshold):
-    from rarenet.simulate import rare_nets, simulate
+def simulated_rare(nl, st, rep):
+    from rarenet.simulate import simulate
 
     prof = simulate(nl, generate(st, 10_000, 1), generate(st, 10_000, 2))
-    gate_nets = frozenset(g.output for g in nl.gates)
-    return rare_nets(prof, threshold) & gate_nets
+    return check_report(nl, rep, prof).simulated_nets
 
 
 def test_degenerate_threshold_marks_everything_rare(netlist_of):
@@ -181,24 +161,17 @@ def test_sweep_orders_points_and_averages_error(netlist_of):
     assert [p.bp1_target for p in res.points] == [3, 4, 5]
     errs = [p.report.abs_error for p in res.points]
     assert res.mean_error == pytest.approx(sum(errs) / 3)
-    assert default_sweep_mean(16) == 0.0
 
 
-def test_report_csv_and_json_round_trip(tmp_path, netlist_of):
+def test_report_csv_round_trip(tmp_path, netlist_of):
     nl = netlist_of("RCA", 8)
     st = WordStats(0.0, 16.0, 0.9, 8)
     rep = compare(nl, st, st, threshold=1e-3, stream_len=500, seed=1)
     cpath = tmp_path / "rep.csv"
-    jpath = tmp_path / "rep.json"
     write_report_csv([rep], cpath)
-    write_report_json([rep], jpath)
     with open(cpath, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["arch"] == "rca"
     assert int(rows[0]["p_est"]) == rep.estimated_count
     assert int(rows[0]["p_sim"]) == rep.simulated_count
-    with open(jpath) as fh:
-        jrows = json.load(fh)
-    assert jrows[0]["p_est"] == rep.estimated_count
-    assert jrows[0]["contributing_blocks"]

@@ -43,6 +43,15 @@ def test_gate_validation():
         bld.gate("MAJ3", (a0, a0), 0, "x")  # unknown kind
 
 
+@pytest.mark.parametrize("names", [("a0", "x0"), ("a0", "b2"), ("a0", "a0")])
+def test_primary_input_names_are_validated(names):
+    bld = NetlistBuilder("bad", 2)
+    ins = [bld.input(name, 0) for name in names]
+    bld.set_outputs([bld.gate("AND", ins, 0, "x")])
+    with pytest.raises(NetlistError):
+        bld.build()
+
+
 def test_slice_out_of_range():
     nl = small_netlist()
     with pytest.raises(ValueError):
