@@ -39,16 +39,31 @@ def build_adder(kind: str, width: int) -> Netlist:
     return bld.build()
 
 
-def _full_adder(bld, x, y, c, block, col, carry_col=None):
-    """5-gate full adder; returns (sum, carry)."""
+def adder_cell(bld, bits, col, block, carry=True, carry_col=None):
+    """Sum the nets of one column; returns (sum, carry or None).
+
+    `bits` holds up to three nets, with None for an absent addend.  One net
+    passes through, two make a half adder (XOR, AND), three the 5-gate full
+    adder (XOR, XOR, AND, AND, OR).  `carry=False` skips the carry gates;
+    they take column `col` unless `carry_col` is given.
+    """
+    bits = [x for x in bits if x is not None]
+    assert 1 <= len(bits) <= 3, f"column {col} holds {len(bits)} bits"
     if carry_col is None:
         carry_col = col
+    if len(bits) == 1:
+        return bits[0], None
+    x, y = bits[:2]
     p = bld.gate("XOR", (x, y), col, block)
-    s = bld.gate("XOR", (p, c), col, block)
+    if len(bits) == 2:
+        return p, bld.gate("AND", (x, y), carry_col, block) if carry else None
+    z = bits[2]
+    s = bld.gate("XOR", (p, z), col, block)
+    if not carry:
+        return s, None
     g = bld.gate("AND", (x, y), carry_col, block)
-    t = bld.gate("AND", (p, c), carry_col, block)
-    co = bld.gate("OR", (g, t), carry_col, block)
-    return s, co
+    t = bld.gate("AND", (p, z), carry_col, block)
+    return s, bld.gate("OR", (g, t), carry_col, block)
 
 
 def _or_fold(bld, terms, col, block):
@@ -63,8 +78,8 @@ def _build_rca(bld, a, b, cin):
     sums = []
     c = cin
     for i in range(n):
-        carry_col = n if i == n - 1 else i
-        s, c = _full_adder(bld, a[i], b[i], c, f"FA{i}", i, carry_col=carry_col)
+        s, c = adder_cell(bld, (a[i], b[i], c), i, f"FA{i}",
+                          carry_col=n if i == n - 1 else i)
         sums.append(s)
     return sums, c
 
@@ -155,25 +170,25 @@ def _build_csa(bld, a, b, cin):
     # block 0 ripples from the true carry-in
     c = cin
     for i in range(4):
-        carry_col = n if n == 4 and i == 3 else i
-        s, c = _full_adder(bld, a[i], b[i], c, f"FA{i}", i, carry_col=carry_col)
+        s, c = adder_cell(bld, (a[i], b[i], c), i, f"FA{i}",
+                          carry_col=n if n == 4 and i == 3 else i)
         sums.append(s)
     bcarry = c
     for blk in range(1, n // 4):
         base = 4 * blk
         top = base + 3
         last = blk == n // 4 - 1
-        # carry-zero chain (first cell simplified for constant carry 0)
-        s0 = [bld.gate("XOR", (a[base], b[base]), base, f"FA{base}c0")]
-        c0 = bld.gate("AND", (a[base], b[base]), base, f"FA{base}c0")
-        for i in range(base + 1, base + 4):
-            s, c0 = _full_adder(bld, a[i], b[i], c0, f"FA{i}c0", i)
+        # carry-zero chain (first cell a half adder for constant carry 0)
+        s0 = []
+        c0 = None
+        for i in range(base, base + 4):
+            s, c0 = adder_cell(bld, (a[i], b[i], c0), i, f"FA{i}c0")
             s0.append(s)
         # carry-one chain (first cell simplified for constant carry 1)
         s1 = [bld.gate("XNOR", (a[base], b[base]), base, f"FA{base}c1")]
         c1 = bld.gate("OR", (a[base], b[base]), base, f"FA{base}c1")
         for i in range(base + 1, base + 4):
-            s, c1 = _full_adder(bld, a[i], b[i], c1, f"FA{i}c1", i)
+            s, c1 = adder_cell(bld, (a[i], b[i], c1), i, f"FA{i}c1")
             s1.append(s)
         sel = f"csel{blk}"
         nsel = bld.gate("NOT", (bcarry,), top, sel)

@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", type=_parse_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
-    p.add_argument("--threshold", type=float, default=1e-4)
 
     p = sub.add_parser("compare", help="estimate vs simulation error")
     p.add_argument("--arch", type=_parse_arch, required=True,
@@ -157,8 +156,7 @@ def _cmd_estimate(args) -> int:
     kind, width = args.arch
     netlist = build_architecture(kind, width)
     sa, sb = _stats_pair(args, width)
-    rep = estimate_rare_nets(netlist, breakpoints(sa), breakpoints(sb),
-                             args.threshold)
+    rep = estimate_rare_nets(netlist, breakpoints(sa), breakpoints(sb))
     print(f"arch={rep.arch} width={rep.width} bp0={rep.bp.bp0} "
           f"bp1={rep.bp.bp1} p_est={rep.estimated_count}")
     for block, count in rep.contributing_blocks:

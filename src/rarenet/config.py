@@ -36,6 +36,12 @@ class ExperimentConfig:
             raise ConfigError("architectures must be non-empty")
         if self.vectors < 2:
             raise ConfigError("vectors must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key, rho in (("rho_a", self.rho_a), ("rho_b", self.rho_b)):
+            # rho = 1 leaves no boundary column to solve sigma from
+            if not -1.0 <= rho < 1.0:
+                raise ConfigError(f"{key} must be in [-1, 1), got {rho}")
         if len(self.thresholds) != 1:
             raise ConfigError(
                 f"thresholds must hold exactly one value, got {self.thresholds}")

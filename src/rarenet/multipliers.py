@@ -21,7 +21,7 @@ provably zero).
 
 from __future__ import annotations
 
-from .adders import cla_vector_add
+from .adders import adder_cell, cla_vector_add
 from .netlist import Netlist, NetlistBuilder
 
 MULTIPLIER_KINDS = ("ARRAY", "VEDIC", "DADDA", "BOOTH")
@@ -60,23 +60,14 @@ def _reduce_columns(bld, cols, width, tag):
         for k in range(width):
             block = f"{tag}_s{stage}_c{k}"
             while len(cols[k]) > target:
-                if len(cols[k]) == target + 1:
-                    x, y = cols[k][:2]
-                    del cols[k][:2]
-                    s = bld.gate("XOR", (x, y), k, block)
-                    cols[k].append(s)
-                    if k + 1 < width:
-                        cols[k + 1].append(bld.gate("AND", (x, y), k, block))
-                else:
-                    x, y, z = cols[k][:3]
-                    del cols[k][:3]
-                    p = bld.gate("XOR", (x, y), k, block)
-                    s = bld.gate("XOR", (p, z), k, block)
-                    cols[k].append(s)
-                    if k + 1 < width:
-                        g = bld.gate("AND", (x, y), k, block)
-                        t = bld.gate("AND", (p, z), k, block)
-                        cols[k + 1].append(bld.gate("OR", (g, t), k, block))
+                # a half adder removes one net from the column, a full adder two
+                take = 2 if len(cols[k]) == target + 1 else 3
+                s, c = adder_cell(bld, cols[k][:take], k, block,
+                                  carry=k + 1 < width)
+                del cols[k][:take]
+                cols[k].append(s)
+                if c is not None:
+                    cols[k + 1].append(c)
         stage += 1
     return cols
 
@@ -86,28 +77,9 @@ def _cpa_finish(bld, cols, width, tag):
     outs = []
     carry = None
     for k in range(width):
-        items = list(cols[k])
-        if carry is not None:
-            items.append(carry)
-        block = f"{tag}{k}"
-        carry = None
-        if len(items) == 1:
-            outs.append(items[0])
-        elif len(items) == 2:
-            x, y = items
-            outs.append(bld.gate("XOR", (x, y), k, block))
-            if k + 1 < width:
-                carry = bld.gate("AND", (x, y), k, block)
-        elif len(items) == 3:
-            x, y, z = items
-            p = bld.gate("XOR", (x, y), k, block)
-            outs.append(bld.gate("XOR", (p, z), k, block))
-            if k + 1 < width:
-                g = bld.gate("AND", (x, y), k, block)
-                t = bld.gate("AND", (p, z), k, block)
-                carry = bld.gate("OR", (g, t), k, block)
-        else:
-            raise AssertionError(f"column {k} not reduced: {len(items)} items")
+        s, carry = adder_cell(bld, (*cols[k], carry), k, f"{tag}{k}",
+                              carry=k + 1 < width)
+        outs.append(s)
     return outs
 
 
@@ -208,48 +180,25 @@ def _build_array(bld, a, b):
         block = f"row{j}"
         carry = None
         for k in sorted(rows[j]):
-            items = [v for v in (acc[k], rows[j][k], carry) if v is not None]
-            carry = None
-            if len(items) == 1:
-                acc[k] = items[0]
-            elif len(items) == 2:
-                x, y = items
-                acc[k] = bld.gate("XOR", (x, y), k, block)
-                carry = bld.gate("AND", (x, y), k, block)
-            else:
-                x, y, z = items
-                p = bld.gate("XOR", (x, y), k, block)
-                acc[k] = bld.gate("XOR", (p, z), k, block)
-                g = bld.gate("AND", (x, y), k, block)
-                t = bld.gate("AND", (p, z), k, block)
-                carry = bld.gate("OR", (g, t), k, block)
-        k = max(rows[j]) + 1
-        while carry is not None and k < w:
-            if acc[k] is None:
-                acc[k] = carry
-                carry = None
-            else:
-                x = acc[k]
-                acc[k] = bld.gate("XOR", (x, carry), k, block)
-                carry = bld.gate("AND", (x, carry), k, block) if k + 1 < w else None
-            k += 1
+            acc[k], carry = adder_cell(bld, (acc[k], rows[j][k], carry), k, block)
+        _ripple(bld, acc, carry, max(rows[j]) + 1, block)
 
     # Baugh-Wooley constant corrections: +1 at column n, +1 at column 2n-1
     carry = acc[n]
     acc[n] = bld.gate("NOT", (carry,), n, "bwfix")
-    k = n + 1
-    while carry is not None and k < w:
-        if acc[k] is None:
-            acc[k] = carry
-            carry = None
-        else:
-            x = acc[k]
-            acc[k] = bld.gate("XOR", (x, carry), k, "bwfix")
-            carry = bld.gate("AND", (x, carry), k, "bwfix") if k + 1 < w else None
-        k += 1
+    _ripple(bld, acc, carry, n + 1, "bwfix")
     acc[w - 1] = bld.gate("NOT", (acc[w - 1],), w - 1, "bwfix")
     assert all(v is not None for v in acc)
     return acc
+
+
+def _ripple(bld, acc, carry, k, block):
+    """Add `carry` into the accumulator columns from column k upward."""
+    w = len(acc)
+    while carry is not None and k < w:
+        acc[k], carry = adder_cell(bld, (acc[k], carry), k, block,
+                                   carry=k + 1 < w)
+        k += 1
 
 
 # -------------------------------------------------------------------- vedic
@@ -263,10 +212,10 @@ def _vedic_unsigned(bld, a, b, off, tag, cap):
         t1 = bld.gate("AND", (a[0], b[1]), min(off + 1, cap), block)
         t2 = bld.gate("AND", (a[1], b[0]), min(off + 1, cap), block)
         t3 = bld.gate("AND", (a[1], b[1]), min(off + 2, cap), block)
-        p1 = bld.gate("XOR", (t1, t2), min(off + 1, cap), block)
-        c1 = bld.gate("AND", (t1, t2), min(off + 2, cap), block)
-        p2 = bld.gate("XOR", (t3, c1), min(off + 2, cap), block)
-        p3 = bld.gate("AND", (t3, c1), min(off + 3, cap), block)
+        p1, c1 = adder_cell(bld, (t1, t2), min(off + 1, cap), block,
+                            carry_col=min(off + 2, cap))
+        p2, p3 = adder_cell(bld, (t3, c1), min(off + 2, cap), block,
+                            carry_col=min(off + 3, cap))
         return [t0, p1, p2, p3]
     half = n // 2
     al, ah = a[:half], a[half:]
@@ -284,9 +233,9 @@ def _vedic_unsigned(bld, a, b, off, tag, cap):
     rest = upper[n + 1:]
     for idx, x in enumerate(rest):
         col = min(off + half + n + 1 + idx, cap)
-        result.append(bld.gate("XOR", (x, c), col, tag + "m2i"))
-        if idx + 1 < len(rest):
-            c = bld.gate("AND", (x, c), col, tag + "m2i")
+        s, c = adder_cell(bld, (x, c), col, tag + "m2i",
+                          carry=idx + 1 < len(rest))
+        result.append(s)
     return ll[:half] + result
 
 
@@ -305,8 +254,7 @@ def _build_vedic(bld, a, b):
     carry = s2[1]
     outs.append(bld.gate("NOT", (s2[1],), n + 1, "sfix"))
     for k in range(2, n):
-        x = s2[k]
-        outs.append(bld.gate("XOR", (x, carry), n + k, "sfix"))
-        if k + 1 < n:
-            carry = bld.gate("AND", (x, carry), n + k, "sfix")
+        s, carry = adder_cell(bld, (s2[k], carry), n + k, "sfix",
+                              carry=k + 1 < n)
+        outs.append(s)
     return outs

@@ -5,6 +5,12 @@ gates.  Every gate carries a bit-slice annotation (the output-word column
 the value it produces belongs to) and a block label (e.g. "FA13"); these
 drive region localization.  Netlists round-trip through a deterministic
 text format.
+
+Net ids run 0..n-1, one per net, and gates are listed in topological
+order: every gate reads only primary inputs and the outputs of gates
+listed before it.  The builder and `export_netlist` produce that order,
+and `import_netlist` takes gates in file order, so a file that breaks
+either rule raises `NetlistError`.
 """
 
 from __future__ import annotations
@@ -82,8 +88,8 @@ class Netlist:
 
     def _validate(self) -> None:
         ids = [n.id for n in self.nets]
-        if ids != sorted(set(ids)):
-            raise NetlistError("net ids must be unique and sorted")
+        if ids != list(range(len(ids))):
+            raise NetlistError("net ids must run 0..n-1 without gaps")
         by_id = {n.id: n for n in self.nets}
         pis = set(self.primary_inputs)
         if len(self._driver) != len(self.gates):
@@ -184,7 +190,7 @@ def slice_nets(netlist: Netlist, from_column: int) -> frozenset[int]:
 
 
 def export_netlist(netlist: Netlist) -> str:
-    """Serialize to the deterministic text format (nets by id, gates by id)."""
+    """Serialize to the deterministic text format (nets by id, gates in order)."""
     lines = [f"arch={netlist.name} width={netlist.width}"]
     pos = set(netlist.primary_outputs)
     for n in netlist.nets:
@@ -219,6 +225,8 @@ def import_netlist(text: str) -> Netlist:
                 width = int(header["width"])
             elif parts[0] == "net":
                 nid = int(parts[1])
+                if nid in raw_nets:
+                    raise NetlistError(f"net {nid} is declared twice")
                 raw_nets[nid] = (parts[2], "pi" in parts[3:])
             elif parts[0] == "gate":
                 fields = dict(p.split("=", 1) for p in parts[3:])
@@ -233,8 +241,6 @@ def import_netlist(text: str) -> Netlist:
         except (KeyError, IndexError, ValueError) as exc:
             raise NetlistError(
                 f"malformed line {ln!r} ({type(exc).__name__}: {exc})") from None
-    gates.sort(key=lambda g: g.id)
-    gates = _topo_sort(gates, {nid for nid, (_, pi) in raw_nets.items() if pi})
     slice_of: dict[int, int] = {g.output: g.bit_slice for g in gates}
     nets = []
     pis = []
@@ -248,27 +254,6 @@ def import_netlist(text: str) -> Netlist:
             sl = slice_of.get(nid, 0)
         nets.append(Net(nid, nm, is_pi, sl))
     return Netlist(name, width, tuple(gates), tuple(nets), tuple(pis), tuple(outputs))
-
-
-def _topo_sort(gates: list[Gate], pi_ids: set[int]) -> tuple[Gate, ...]:
-    by_output = {g.output: g for g in gates}
-    placed = set(pi_ids)
-    ordered: list[Gate] = []
-    pending = list(gates)
-    while pending:
-        rest = []
-        progressed = False
-        for g in pending:
-            if all(i in placed for i in g.inputs):
-                ordered.append(g)
-                placed.add(g.output)
-                progressed = True
-            else:
-                rest.append(g)
-        if not progressed:
-            raise NetlistError("netlist contains a cycle or undriven net")
-        pending = rest
-    return tuple(ordered)
 
 
 def save_netlist(netlist: Netlist, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import re
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,9 @@ def test_config_validation():
         small_config(thresholds=(1e-3, 1e-4))
     with pytest.raises(ConfigError):
         small_config(thresholds=())
+    for bad in (dict(rho_a=1.0), dict(rho_b=1.5), dict(seed=-1)):
+        with pytest.raises(ConfigError):
+            small_config(**bad)
 
 
 def test_default_boundary_targets_by_width():
@@ -189,6 +193,18 @@ def test_cli_simulate_unknown_primary_input_exits_2(tmp_path, capsys):
     assert "x3" in capsys.readouterr().err
 
 
+def test_cli_simulate_net_id_gap_exits_2(tmp_path, capsys):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    # shift every net id >= 20 up by one, in net, gate and outputs lines:
+    # consistent, but the simulator and writers index nets by position
+    net.write_text(re.sub(
+        r"(net |out=|in=|,|outputs )(\d+)",
+        lambda m: m[1] + str(int(m[2]) + (int(m[2]) >= 20)),
+        net.read_text()))
+    assert _simulate_exit_code(tmp_path, net, sa, sb) == 2
+    assert "0..n-1" in capsys.readouterr().err
+
+
 def test_cli_estimate_prints_summary(capsys):
     rc = main(["estimate", "--arch", "RCA:16", "--std", "1024",
                "--rho", "0.99"])
@@ -263,7 +279,10 @@ def test_cli_replicate_bad_config_exits_2(tmp_path):
     path = tmp_path / "bad.cfg"
     for text in ("vectors = 100\n",
                  "architectures = RCA:8\nstd_a = 16\n",
-                 "architectures = RCA:8\nthresholds = 1e-4, 1e-3\n"):
+                 "architectures = RCA:8\nthresholds = 1e-4, 1e-3\n",
+                 "architectures = RCA:8\nrho_a = 1.0\n",
+                 "architectures = RCA:8\nrho_b = 1.5\n",
+                 "architectures = RCA:8\nseed = -1\n"):
         path.write_text(text)
         assert main(["replicate", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2, text
