@@ -14,26 +14,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .archlib import ALL_KINDS, build_architecture
+from .archlib import build_architecture
 from .config import (ConfigError, ExperimentConfig, default_bp1_targets,
-                     load_config)
-from .estimate import (check_report, compare, estimate_rare_nets,
-                       solve_sigma_for_bp1, sweep_bp1, write_report_csv)
+                     load_config, parse_arch)
+from .estimate import (SweepPoint, SweepResult, compare, estimate_rare_nets,
+                       operating_points, score, sweep_bp1, write_report_csv)
 from .netlist import NetlistError, load_netlist, save_netlist
 from .simulate import export_activity, simulate
 from .stats import WordStats, breakpoints
 from .stimulus import generate, load_stream, save_stream
-
-
-def _parse_arch(text: str) -> tuple[str, int]:
-    kind, sep, w = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError("expected KIND:WIDTH, e.g. RCA:16")
-    try:
-        width = int(w)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad width {w!r}")
-    return kind.upper(), width
 
 
 def _stats_pair(args, width: int) -> tuple[WordStats, WordStats]:
@@ -73,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("build-netlist", help="emit a gate-level netlist")
-    p.add_argument("--arch", type=_parse_arch, required=True,
+    p.add_argument("--arch", type=parse_arch, required=True,
                    metavar="KIND:WIDTH")
     p.add_argument("--out", required=True)
 
@@ -84,12 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="activity CSV path")
 
     p = sub.add_parser("estimate", help="analytical rare-net estimate")
-    p.add_argument("--arch", type=_parse_arch, required=True,
+    p.add_argument("--arch", type=parse_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
 
     p = sub.add_parser("compare", help="estimate vs simulation error")
-    p.add_argument("--arch", type=_parse_arch, required=True,
+    p.add_argument("--arch", type=parse_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
     p.add_argument("--threshold", type=float, default=1e-4)
@@ -98,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional report CSV")
 
     p = sub.add_parser("sweep", help="error across boundary-column targets")
-    p.add_argument("--arch", type=_parse_arch, required=True,
+    p.add_argument("--arch", type=parse_arch, required=True,
                    metavar="KIND:WIDTH")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--threshold", type=float, default=1e-4)
@@ -110,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional report CSV")
 
     p = sub.add_parser("locate", help="list the vulnerable region of a module")
-    p.add_argument("--arch", type=_parse_arch, required=True,
+    p.add_argument("--arch", type=parse_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
     p.add_argument("--threshold", type=float, default=1e-5)
@@ -122,8 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replicate", help="run the full batch from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override output_dir")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--vectors", type=int, default=None)
 
     return top
 
@@ -184,7 +171,7 @@ def _cmd_sweep(args) -> int:
                     args.vectors, args.seed, args.mean)
     for p in res.points:
         rep = p.report
-        print(f"bp1={p.bp1_target} sigma={p.sigma:.3f} "
+        print(f"bp1={p.bp1_target} sigma={rep.stats_a.std_dev:.3f} "
               f"p_est={rep.estimated_count} p_sim={rep.simulated_count} "
               f"error={rep.abs_error:.6f}")
     print(f"mean_error={res.mean_error:.6f}")
@@ -229,18 +216,18 @@ def run(cfg: ExperimentConfig) -> int:
     timestamps and every writer is deterministic.
     """
     out = Path(cfg.output_dir)
+    # an unsupported architecture is a config error: fail before any output
+    netlists = {(kind, width): build_architecture(kind, width)
+                for kind, width in cfg.architectures}
     manifest: list[str] = []
     status = "complete"
     try:
         for sub in ("netlists", "streams", "activity", "reports"):
             (out / sub).mkdir(parents=True, exist_ok=True)
 
-        netlists = {}
         for kind, width in cfg.architectures:
-            nl = build_architecture(kind, width)
-            netlists[(kind, width)] = nl
             rel = f"netlists/{kind.lower()}{width}.net"
-            save_netlist(nl, out / rel)
+            save_netlist(netlists[(kind, width)], out / rel)
             manifest.append(rel)
 
         # one stream pair per (width, target); shared across architectures
@@ -249,45 +236,33 @@ def run(cfg: ExperimentConfig) -> int:
         for width in sorted({w for _, w in cfg.architectures}):
             targets = cfg.bp1_targets or default_bp1_targets(width)
             streams[width] = []
-            for t in sorted(targets):
-                st_a, st_b = (
-                    WordStats(0.0, solve_sigma_for_bp1(t, rho), rho, width)
-                    for rho in (cfg.rho_a, cfg.rho_b))
-                if not (st_a.fits_range() and st_b.fits_range()):
-                    continue
-                sa = generate(st_a, cfg.vectors, cfg.seed)
-                sb = generate(st_b, cfg.vectors, cfg.seed + 1)
+            for t, sa, sb in operating_points(width, targets, cfg.rho_a,
+                                              cfg.rho_b, cfg.vectors, cfg.seed):
                 for tag, stream in (("a", sa), ("b", sb)):
                     rel = f"streams/w{width}_bp{t}_{tag}.txt"
                     save_stream(stream, out / rel)
                     manifest.append(rel)
-                streams[width].append((t, st_a, st_b, sa, sb))
+                streams[width].append((t, sa, sb))
 
-        summary = []
+        summary = ["arch,width,mean_error\n"]
         for kind, width in cfg.architectures:
             nl = netlists[(kind, width)]
-            reports = []
-            for t, st_a, st_b, sa, sb in streams[width]:
-                rep = estimate_rare_nets(nl, breakpoints(st_a),
-                                         breakpoints(st_b), threshold)
-                rep = replace(rep, stats_a=st_a, stats_b=st_b)
-                profile = simulate(nl, sa, sb)
+            points = []
+            for t, sa, sb in streams[width]:
+                rep, profile = score(nl, sa, sb, threshold)
                 rel = f"activity/{kind.lower()}{width}_bp{t}.csv"
                 export_activity(nl, profile, out / rel)
                 manifest.append(rel)
-                reports.append(check_report(nl, rep, profile))
+                points.append(SweepPoint(t, rep))
+            result = SweepResult(tuple(points))
             rel = f"reports/sweep_{kind.lower()}{width}.csv"
-            write_report_csv(reports, out / rel)
+            write_report_csv(result.reports, out / rel)
             manifest.append(rel)
-            mean_err = (sum(r.abs_error for r in reports) / len(reports)
-                        if reports else float("nan"))
-            summary.append((kind.lower(), width, mean_err))
+            summary.append(
+                f"{kind.lower()},{width},{result.mean_error:.12f}\n")
 
         rel = "reports/summary.csv"
-        with open(out / rel, "w", newline="") as fh:
-            fh.write("arch,width,mean_error\n")
-            for kind, width, err in summary:
-                fh.write(f"{kind},{width},{err:.12f}\n")
+        (out / rel).write_text("".join(summary), newline="")
         manifest.append(rel)
         return 0
     except Exception as exc:  # noqa: BLE001 - report and keep partial outputs
@@ -306,10 +281,6 @@ def _cmd_replicate(args) -> int:
     cfg = load_config(args.config)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.vectors is not None:
-        cfg = replace(cfg, vectors=args.vectors)
     return run(cfg)
 
 

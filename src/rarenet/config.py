@@ -1,8 +1,9 @@
 """Experiment configuration: a flat key=value text format.
 
 Grammar: one `key=value` pair per line; blank lines and lines starting
-with `#` are ignored.  Lists are comma-separated.  Architectures are
-written `KIND:WIDTH`.  `parse(emit(cfg))` returns an equal config.
+with `#` are ignored, and a key may appear only once.  Lists are
+comma-separated.  Architectures are written `KIND:WIDTH`.
+`parse(emit(cfg))` returns an equal config.
 
 Operand statistics are stored width-free: only each operand's lag-1
 correlation is configured.  For every boundary target and width, the
@@ -47,6 +48,9 @@ class ExperimentConfig:
                 f"thresholds must hold exactly one value, got {self.thresholds}")
         if not 0.0 <= self.thresholds[0] <= 1.0:
             raise ConfigError(f"threshold {self.thresholds[0]} outside [0, 1]")
+        if any(not 0 <= t <= 64 for t in self.bp1_targets):
+            raise ConfigError(
+                f"bp1_targets must be in 0..64, got {self.bp1_targets}")
 
 
 def default_bp1_targets(bit_width: int) -> tuple[int, ...]:
@@ -68,7 +72,8 @@ def emit(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _arch(item: str) -> tuple[str, int]:
+def parse_arch(item: str) -> tuple[str, int]:
+    """`KIND:WIDTH` -> (upper-case kind, width); `ValueError` if malformed."""
     kind, _, w = item.partition(":")
     return kind.strip().upper(), int(w)
 
@@ -76,7 +81,7 @@ def _arch(item: str) -> tuple[str, int]:
 # key -> parser of its value; list-valued keys parse each comma-separated item
 _SCALARS = {"rho_a": float, "rho_b": float, "vectors": int, "seed": int,
             "output_dir": str}
-_LISTS = {"architectures": _arch, "thresholds": float, "bp1_targets": int}
+_LISTS = {"architectures": parse_arch, "thresholds": float, "bp1_targets": int}
 
 
 def parse(text: str) -> ExperimentConfig:
@@ -87,8 +92,10 @@ def parse(text: str) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
+        raw[key] = value
 
     unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:

@@ -13,6 +13,8 @@ simulated rare set (gate-output nets at or below the report's threshold)
 from a toggle profile, and the report derives the relative count error
 |simulated - estimated| / max(simulated, 1) from it; points where the
 simulation found no rare nets are flagged rather than dropped.
+`operating_points` is the one sweep loop and `score` the one estimate,
+simulate and score step; `compare`, `sweep_bp1` and `cli.run` use both.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from .netlist import Netlist, slice_nets
 from .simulate import ToggleProfile, rare_nets, simulate
 from .stats import Breakpoints, WordStats, breakpoints, combined_breakpoints, rho_msb
-from .stimulus import generate
+from .stimulus import StimulusStream, generate
 
 FLAG_PRODUCT_MAPPING = "product-region-mapping"
 FLAG_ZERO_SIMULATED = "zero-simulated-count"
@@ -37,13 +39,16 @@ class RareNetReport:
     width: int
     bp: Breakpoints
     threshold: float
-    estimated_count: int
     contributing_blocks: tuple[tuple[str, int], ...]
     estimated_nets: frozenset[int] = field(repr=False, default=frozenset())
     simulated_nets: frozenset[int] | None = field(repr=False, default=None)
     flags: tuple[str, ...] = ()
     stats_a: WordStats | None = None
     stats_b: WordStats | None = None
+
+    @property
+    def estimated_count(self) -> int:
+        return len(self.estimated_nets)
 
     @property
     def simulated_count(self) -> int | None:
@@ -87,8 +92,7 @@ def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints,
     flags = (FLAG_PRODUCT_MAPPING,) if netlist.is_multiplier else ()
     return RareNetReport(
         arch=netlist.name, width=netlist.width, bp=bp, threshold=threshold,
-        estimated_count=len(nets), contributing_blocks=blocks,
-        estimated_nets=nets, flags=flags,
+        contributing_blocks=blocks, estimated_nets=nets, flags=flags,
     )
 
 
@@ -106,36 +110,59 @@ def check_report(netlist: Netlist, report: RareNetReport,
     return replace(report, simulated_nets=simulated, flags=flags)
 
 
+def score(netlist: Netlist, stream_a: StimulusStream, stream_b: StimulusStream,
+          threshold: float) -> tuple[RareNetReport, ToggleProfile]:
+    """Estimate from the streams' targets, simulate, and score the report."""
+    st_a, st_b = stream_a.target, stream_b.target
+    rep = estimate_rare_nets(netlist, breakpoints(st_a), breakpoints(st_b),
+                             threshold)
+    profile = simulate(netlist, stream_a, stream_b)
+    return check_report(netlist, replace(rep, stats_a=st_a, stats_b=st_b),
+                        profile), profile
+
+
+def _stream_pair(st_a: WordStats, st_b: WordStats, length: int, seed: int):
+    # operand B draws from the next seed, so the two streams are independent
+    return generate(st_a, length, seed), generate(st_b, length, seed + 1)
+
+
 def compare(netlist: Netlist, stats_a: WordStats, stats_b: WordStats,
             threshold: float = 1e-4, stream_len: int = 10_000,
             seed: int = 1) -> RareNetReport:
-    """Estimate, then simulate under matching stimulus, and score the error.
-
-    Operand A uses `seed`, operand B uses `seed + 1`, so the two word
-    streams are independent draws with the stated statistics.
-    """
-    rep = estimate_rare_nets(netlist, breakpoints(stats_a),
-                             breakpoints(stats_b), threshold)
-    rep = replace(rep, stats_a=stats_a, stats_b=stats_b)
-    profile = simulate(netlist, generate(stats_a, stream_len, seed),
-                       generate(stats_b, stream_len, seed + 1))
-    return check_report(netlist, rep, profile)
+    """Estimate, then simulate under matching stimulus, and score the error."""
+    return score(netlist, *_stream_pair(stats_a, stats_b, stream_len, seed),
+                 threshold)[0]
 
 
 # -------------------------------------------------------------------- sweep
 
 def solve_sigma_for_bp1(bp1: int, rho: float) -> float:
     """Word-level standard deviation that places the upper boundary at bp1."""
+    if not 0 <= bp1 <= 64:  # words are at most 64 bits wide
+        raise ValueError(f"boundary target must be in 0..64, got {bp1}")
     r = rho_msb(rho)
     if r >= 1.0:
         raise ValueError("perfectly correlated words have no finite boundary")
     return 2.0 ** bp1 / (6.0 * (1.0 - r) ** 0.5)
 
 
+def operating_points(width: int, targets, rho_a: float, rho_b: float,
+                     vectors: int, seed: int, mean: float = 0.0):
+    """Yield `(target, stream_a, stream_b)` per target, in sorted order.
+
+    Each operand's sigma is solved from its own rho; a target whose
+    mean +/- 3 sigma does not fit the word is skipped.
+    """
+    for t in sorted(targets):
+        st_a, st_b = (WordStats(mean, solve_sigma_for_bp1(t, rho), rho, width)
+                      for rho in (rho_a, rho_b))
+        if st_a.fits_range() and st_b.fits_range():
+            yield (t, *_stream_pair(st_a, st_b, vectors, seed))
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     bp1_target: int
-    sigma: float
     report: RareNetReport
 
 
@@ -149,7 +176,8 @@ class SweepResult:
 
     @property
     def mean_error(self) -> float:
-        return sum(p.report.abs_error for p in self.points) / len(self.points)
+        errors = [p.report.abs_error for p in self.points]
+        return sum(errors) / len(errors) if errors else float("nan")
 
 
 def sweep_bp1(netlist: Netlist, rho: float, threshold: float, bp1_targets,
@@ -163,16 +191,18 @@ def sweep_bp1(netlist: Netlist, rho: float, threshold: float, bp1_targets,
     result is reproducible.  The mean defaults to zero, the operating
     point the bit-level activity model is derived for; under it the
     estimate stays an upper bound on the simulated rare-net count for
-    every supported architecture.
+    every supported architecture.  A target that does not fit the word
+    raises `ValueError`.
     """
-    points = []
-    for bp1 in sorted(bp1_targets):
-        sigma = solve_sigma_for_bp1(bp1, rho)
-        target = WordStats(mean=mean, std_dev=sigma, rho=rho,
-                           bit_width=netlist.width)
-        rep = compare(netlist, target, target, threshold, stream_len, seed)
-        points.append(SweepPoint(bp1_target=bp1, sigma=sigma, report=rep))
-    return SweepResult(points=tuple(points))
+    points = tuple(
+        SweepPoint(t, score(netlist, sa, sb, threshold)[0])
+        for t, sa, sb in operating_points(netlist.width, bp1_targets, rho, rho,
+                                          stream_len, seed, mean))
+    skipped = sorted(set(bp1_targets) - {p.bp1_target for p in points})
+    if skipped:
+        raise ValueError(f"bp1 targets {skipped} put mean +/- 3 sigma "
+                         f"outside the {netlist.width}-bit range")
+    return SweepResult(points)
 
 
 # ------------------------------------------------------------------ reports

@@ -23,6 +23,7 @@ and nets made constant by the tie are excluded from the toggle census; see
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -72,28 +73,15 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
         if operand_bit(netlist.nets[net].name) is None:
             const[net] = 0
     for gate in netlist.gates:
-        ins = [const.get(i) for i in gate.inputs]
-        known = [v for v in ins if v is not None]
-        out = None
-        if gate.kind in ("AND", "NAND"):
-            if 0 in known:
-                out = 0
-            elif len(known) == len(ins):
-                out = min(known)
-            if out is not None and gate.kind == "NAND":
-                out = 1 - out
-        elif gate.kind in ("OR", "NOR"):
-            if 1 in known:
-                out = 1
-            elif len(known) == len(ins):
-                out = max(known)
-            if out is not None and gate.kind == "NOR":
-                out = 1 - out
-        elif len(known) == len(ins):
-            op, invert = _GATES[gate.kind]
-            out = (int(op(*known)) ^ invert) & 1
-        if out is not None:
-            const[gate.output] = out
+        if const.keys().isdisjoint(gate.inputs):
+            continue
+        # constant when every value of the free inputs gives one output
+        op, invert = _GATES[gate.kind]
+        values = ((const[i],) if i in const else (0, 1) for i in gate.inputs)
+        outs = {(int(op(*vals)) ^ invert) & 1
+                for vals in itertools.product(*values)}
+        if len(outs) == 1:
+            const[gate.output] = outs.pop()
     return frozenset(const)
 
 

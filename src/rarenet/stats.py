@@ -35,8 +35,8 @@ class WordStats:
             raise ValueError(f"std_dev must be >= 0, got {self.std_dev}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [-1, 1], got {self.rho}")
-        if self.bit_width < 2:
-            raise ValueError(f"bit_width must be >= 2, got {self.bit_width}")
+        if not 2 <= self.bit_width <= 64:  # words are held as int64
+            raise ValueError(f"bit_width must be in 2..64, got {self.bit_width}")
 
     @property
     def min_value(self) -> int:

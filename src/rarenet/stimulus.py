@@ -84,8 +84,11 @@ def parse_stream(text: str) -> StimulusStream:
     seed = int(header["seed"])
     target = WordStats(
         float(header["mu"]), float(header["sigma"]), float(header["rho"]), width)
-    words = np.array(list(map(int, lines[1:])), dtype=np.int64)
-    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    try:
+        words = np.array(list(map(int, lines[1:])), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("stream word outside the 64-bit range") from None
+    lo, hi = target.min_value, target.max_value
     if words.size and (words.min() < lo or words.max() > hi):
         raise ValueError(f"stream word out of {width}-bit range")
     return StimulusStream(words, width, seed, target)

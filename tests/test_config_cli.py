@@ -4,7 +4,9 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from rarenet.archlib import build_architecture
 from rarenet.cli import main
 from rarenet.config import (
     emit,
@@ -15,8 +17,11 @@ from rarenet.config import (
     parse,
     save_config,
 )
+from rarenet.estimate import sweep_bp1, write_report_csv
 from rarenet.netlist import load_netlist
 from rarenet.stimulus import load_stream
+
+from conftest import mutations
 
 
 def small_config(**overrides):
@@ -61,6 +66,20 @@ def test_config_parse_rejects_bad_input():
         parse("architectures = RCA:sixteen\n")
 
 
+def test_config_parse_rejects_repeated_key():
+    with pytest.raises(ConfigError, match="line 3"):
+        parse("architectures = RCA:8\nvectors = 50\narchitectures = CKA:8\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations(emit(small_config())))
+def test_mutated_config_parses_or_raises_config_error(text):
+    try:
+        parse(text)
+    except ConfigError:
+        pass
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(architectures=())
@@ -72,7 +91,8 @@ def test_config_validation():
         small_config(thresholds=(1e-3, 1e-4))
     with pytest.raises(ConfigError):
         small_config(thresholds=())
-    for bad in (dict(rho_a=1.0), dict(rho_b=1.5), dict(seed=-1)):
+    for bad in (dict(rho_a=1.0), dict(rho_b=1.5), dict(seed=-1),
+                dict(bp1_targets=(3, -3)), dict(bp1_targets=(2000,))):
         with pytest.raises(ConfigError):
             small_config(**bad)
 
@@ -232,6 +252,14 @@ def test_cli_sweep_reports_mean_error(capsys):
     assert "mean_error=" in out
 
 
+@pytest.mark.parametrize("target", ["-2", "2000"])
+def test_cli_sweep_target_outside_word_exits_2(capsys, target):
+    rc = main(["sweep", "--arch", "RCA:8", "--rho", "0.9", "--bp1", target,
+               "--vectors", "300"])
+    assert rc == 2
+    assert "bp1=" not in capsys.readouterr().out
+
+
 def test_cli_locate_annotates_rare_nets(capsys):
     rc = main(["locate", "--arch", "RCA:16", "--mean", "4096",
                "--std", "142", "--rho", "0.99", "--vectors", "2000",
@@ -282,10 +310,15 @@ def test_cli_replicate_bad_config_exits_2(tmp_path):
                  "architectures = RCA:8\nthresholds = 1e-4, 1e-3\n",
                  "architectures = RCA:8\nrho_a = 1.0\n",
                  "architectures = RCA:8\nrho_b = 1.5\n",
-                 "architectures = RCA:8\nseed = -1\n"):
+                 "architectures = RCA:8\nseed = -1\n",
+                 "architectures = RCA:8\nbp1_targets = -3\n",
+                 "architectures = RCA:8\narchitectures = CKA:8\n",
+                 "architectures = RCA:12\n",
+                 "architectures = FOO:8\n"):
         path.write_text(text)
         assert main(["replicate", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2, text
+        assert not (tmp_path / "o").exists(), text
 
 
 GOLDEN_BATCH = Path(__file__).parent / "data" / "replicate_rca8_booth8"
@@ -311,6 +344,20 @@ def test_cli_replicate_solves_sigma_per_operand(tmp_path):
     assert main(["replicate", "--config", str(path), "--out", str(out)]) == 0
     with open(out / "reports" / "sweep_rca8.csv", newline="") as fh:
         assert [int(r["bp1"]) for r in csv.DictReader(fh)] == [3, 4]
+
+
+def test_cli_replicate_report_matches_sweep(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("architectures = RCA:8\nvectors = 400\n"
+                    "thresholds = 1e-3\nbp1_targets = 4, 2, 3\n"
+                    "rho_a = 0.9\nrho_b = 0.9\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["replicate", "--config", str(path), "--out", str(out)]) == 0
+    res = sweep_bp1(build_architecture("RCA", 8), 0.9, 1e-3, (4, 2, 3),
+                    stream_len=400, seed=5)
+    write_report_csv(res.reports, tmp_path / "sweep.csv")
+    assert ((out / "reports" / "sweep_rca8.csv").read_bytes()
+            == (tmp_path / "sweep.csv").read_bytes())
 
 
 

@@ -1,14 +1,17 @@
 import csv
+import math
 
 import pytest
 
 from rarenet.estimate import (
     FLAG_PRODUCT_MAPPING,
     FLAG_ZERO_SIMULATED,
+    SweepResult,
     check_report,
     compare,
     effective_slice_start,
     estimate_rare_nets,
+    operating_points,
     solve_sigma_for_bp1,
     sweep_bp1,
     write_report_csv,
@@ -87,6 +90,12 @@ def test_sigma_solve_reference_values():
         solve_sigma_for_bp1(8, 1.0)
 
 
+def test_sigma_solve_rejects_target_outside_word():
+    for bp1 in (-2, 65, 2000):
+        with pytest.raises(ValueError, match="0..64"):
+            solve_sigma_for_bp1(bp1, 0.99)
+
+
 def test_compare_is_deterministic(netlist_of):
     nl = netlist_of("RCA", 8)
     st = WordStats(0.0, 16.0, 0.9, 8)
@@ -161,6 +170,25 @@ def test_sweep_orders_points_and_averages_error(netlist_of):
     assert [p.bp1_target for p in res.points] == [3, 4, 5]
     errs = [p.report.abs_error for p in res.points]
     assert res.mean_error == pytest.approx(sum(errs) / 3)
+
+
+def test_sweep_without_points_has_nan_mean_error():
+    assert math.isnan(SweepResult(()).mean_error)
+
+
+def test_sweep_rejects_target_outside_word(netlist_of):
+    with pytest.raises(ValueError, match=r"\[9\]"):
+        sweep_bp1(netlist_of("RCA", 8), 0.99, 1e-3, [3, 9], stream_len=100)
+
+
+def test_operating_points_solve_each_operand_and_skip_misfits():
+    points = list(operating_points(8, [9, 4, 3], 0.99, 0.5, 50, seed=7))
+    assert [t for t, _, _ in points] == [3, 4]
+    for t, sa, sb in points:
+        assert (sa.seed, sb.seed) == (7, 8)
+        assert len(sa) == len(sb) == 50
+        assert sa.target.std_dev == solve_sigma_for_bp1(t, 0.99)
+        assert sb.target == WordStats(0.0, solve_sigma_for_bp1(t, 0.5), 0.5, 8)
 
 
 def test_report_csv_round_trip(tmp_path, netlist_of):

@@ -1,6 +1,8 @@
 import hashlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from rarenet.archlib import build_architecture
 from rarenet.netlist import (
@@ -12,6 +14,8 @@ from rarenet.netlist import (
     save_netlist,
     slice_nets,
 )
+
+from conftest import mutations
 
 
 def small_netlist():
@@ -240,3 +244,15 @@ GOLDEN_DIGESTS = [
 def test_golden_netlist_digest(kind, width, digest):
     text = export_netlist(build_architecture(kind, width))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+RCA4_TEXT = (Path(__file__).parent / "data" / "rca4.net").read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations(RCA4_TEXT))
+def test_mutated_netlist_imports_or_raises_netlist_error(text):
+    try:
+        import_netlist(text)
+    except NetlistError:
+        pass

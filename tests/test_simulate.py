@@ -208,3 +208,23 @@ def test_activity_golden_fixture(tmp_path, netlist_of, request):
     path = tmp_path / "activity.csv"
     export_activity(nl, prof, path)
     assert path.read_text() == golden.read_text()
+
+
+# len(constant_nets) for every supported kind and width: the tied carry-in
+# and the gates it fixes; multipliers have no carry-in
+CONSTANT_NET_COUNTS = {
+    "RCA": (2, 2, 2, 2), "CLA": (5, 9, 17, 33), "CKA": (3, 3, 3, 3),
+    "CSA": (2, 2, 2, 2), "KSA": (5, 9, 17, 33), "HYBRID": (5, 5, 5, 5),
+    "ARRAY": (0, 0, 0), "VEDIC": (0, 0, 0), "DADDA": (0, 0, 0),
+    "BOOTH": (0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("kind,width,count", [
+    (kind, width, count)
+    for kind, counts in CONSTANT_NET_COUNTS.items()
+    for width, count in zip((4, 8, 16, 32), counts)])
+def test_constant_net_count(netlist_of, kind, width, count):
+    from rarenet.simulate import constant_nets
+
+    assert len(constant_nets(netlist_of(kind, width))) == count

@@ -155,7 +155,8 @@ def test_word_stats_validation():
         WordStats(0.0, -1.0, 0.0, 16)
     with pytest.raises(ValueError):
         WordStats(0.0, 1.0, 1.5, 16)
-    with pytest.raises(ValueError):
-        WordStats(0.0, 1.0, 0.0, 1)
+    for width in (1, 65):
+        with pytest.raises(ValueError):
+            WordStats(0.0, 1.0, 0.0, width)
     assert WordStats(0.0, 1000.0, 0.0, 8).fits_range() is False
     assert WordStats(0.0, 40.0, 0.0, 8).fits_range() is True

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from rarenet.stats import WordStats, empirical_bit_profile, empirical_word_stats
 from rarenet.stimulus import dump_stream, generate, load_stream, parse_stream, save_stream
+
+from conftest import mutations
 
 TARGET = WordStats(0.0, 1024.0, 0.99, 16)
 
@@ -86,3 +89,27 @@ def test_parse_rejects_garbage():
         parse_stream("not a header\n1\n2\n")
     with pytest.raises(ValueError):
         parse_stream("")
+
+
+def test_parse_rejects_word_beyond_64_bits():
+    with pytest.raises(ValueError, match="64-bit"):
+        parse_stream("width=8 seed=1 mu=0.0 sigma=1.0 rho=0.5\n"
+                     "1\n99999999999999999999\n")
+
+
+def test_parse_rejects_width_outside_word():
+    for width in (1, 65):
+        with pytest.raises(ValueError, match="2..64"):
+            parse_stream(f"width={width} seed=1 mu=0.0 sigma=1.0 rho=0.5\n1\n")
+
+
+SMALL_STREAM = dump_stream(generate(WordStats(0.0, 16.0, 0.9, 8), 20, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations(SMALL_STREAM))
+def test_mutated_stream_parses_or_raises_value_error(text):
+    try:
+        parse_stream(text)
+    except ValueError:
+        pass
