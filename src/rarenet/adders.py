@@ -27,9 +27,9 @@ def build_adder(kind: str, width: int) -> Netlist:
     if width not in _ADDER_WIDTHS:
         raise ValueError(f"unsupported adder width {width}")
     bld = NetlistBuilder(kind.lower(), width)
-    a = [bld.input(f"a{i}", i) for i in range(width)]
-    b = [bld.input(f"b{i}", i) for i in range(width)]
-    cin = bld.input("cin", 0)
+    a = [bld.input(f"a{i}") for i in range(width)]
+    b = [bld.input(f"b{i}") for i in range(width)]
+    cin = bld.input("cin")
     builder = {
         "RCA": _build_rca, "CLA": _build_cla, "CKA": _build_cka,
         "CSA": _build_csa, "KSA": _build_ksa, "HYBRID": _build_hybrid,

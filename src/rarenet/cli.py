@@ -202,7 +202,7 @@ def _cmd_locate(args) -> int:
     for net_id in sorted(rep.simulated_nets):
         gate = netlist.driver_of(net_id)
         where = "inside" if net_id in rep.estimated_nets else "outside"
-        print(f"  {netlist.nets[net_id].name} (block {gate.block}, "
+        print(f"  {netlist.net_names[net_id]} (block {gate.block}, "
               f"slice {gate.bit_slice}): {where} estimated region")
     return 0
 

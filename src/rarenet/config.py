@@ -2,7 +2,8 @@
 
 Grammar: one `key=value` pair per line; blank lines and lines starting
 with `#` are ignored, and a key may appear only once.  Lists are
-comma-separated.  Architectures are written `KIND:WIDTH`.
+comma-separated; `architectures` and `bp1_targets` may not repeat an
+item.  Architectures are written `KIND:WIDTH`.
 `parse(emit(cfg))` returns an equal config.
 
 Operand statistics are stored width-free: only each operand's lag-1
@@ -51,6 +52,10 @@ class ExperimentConfig:
         if any(not 0 <= t <= 64 for t in self.bp1_targets):
             raise ConfigError(
                 f"bp1_targets must be in 0..64, got {self.bp1_targets}")
+        for key in ("architectures", "bp1_targets"):
+            items = getattr(self, key)
+            if len(set(items)) != len(items):
+                raise ConfigError(f"{key} lists an item twice: {items}")
 
 
 def default_bp1_targets(bit_width: int) -> tuple[int, ...]:

@@ -5,14 +5,13 @@ statistics alone: the bit-level activity model gives the column above
 which operand bits are dominated by correlated sign behaviour, and every
 gate at or above that column is predicted rare.  For a multiplier the
 operand log-magnitudes add, so the product-side boundary is taken as the
-sum of the two operand boundaries (clamped to the product width); reports
-carry a flag marking this modeling assumption.
+sum of the two operand boundaries (clamped to the product width).
 
 `check_report` is the one place a prediction is scored: it takes the
 simulated rare set (gate-output nets at or below the report's threshold)
 from a toggle profile, and the report derives the relative count error
 |simulated - estimated| / max(simulated, 1) from it; points where the
-simulation found no rare nets are flagged rather than dropped.
+simulation found no rare nets are kept, with the whole estimate as error.
 `operating_points` is the one sweep loop and `score` the one estimate,
 simulate and score step; `compare`, `sweep_bp1` and `cli.run` use both.
 """
@@ -27,9 +26,6 @@ from .simulate import ToggleProfile, rare_nets, simulate
 from .stats import Breakpoints, WordStats, breakpoints, combined_breakpoints, rho_msb
 from .stimulus import StimulusStream, generate
 
-FLAG_PRODUCT_MAPPING = "product-region-mapping"
-FLAG_ZERO_SIMULATED = "zero-simulated-count"
-
 
 @dataclass(frozen=True)
 class RareNetReport:
@@ -42,7 +38,6 @@ class RareNetReport:
     contributing_blocks: tuple[tuple[str, int], ...]
     estimated_nets: frozenset[int] = field(repr=False, default=frozenset())
     simulated_nets: frozenset[int] | None = field(repr=False, default=None)
-    flags: tuple[str, ...] = ()
     stats_a: WordStats | None = None
     stats_b: WordStats | None = None
 
@@ -85,14 +80,13 @@ def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints,
         raise ValueError(f"bp1 {bp.bp1} outside output width")
     nets = slice_nets(netlist, bp.bp1)
     per_block: dict[str, int] = {}
-    for g in netlist.gates:
-        if g.output in nets:
-            per_block[g.block] = per_block.get(g.block, 0) + 1
+    for net in nets:
+        block = netlist.driver_of(net).block
+        per_block[block] = per_block.get(block, 0) + 1
     blocks = tuple(sorted(per_block.items()))
-    flags = (FLAG_PRODUCT_MAPPING,) if netlist.is_multiplier else ()
     return RareNetReport(
         arch=netlist.name, width=netlist.width, bp=bp, threshold=threshold,
-        contributing_blocks=blocks, estimated_nets=nets, flags=flags,
+        contributing_blocks=blocks, estimated_nets=nets,
     )
 
 
@@ -102,12 +96,10 @@ def check_report(netlist: Netlist, report: RareNetReport,
 
     Only gate outputs count: primary inputs switch as the stimulus says.
     """
+    gate_nets = netlist.gate_nets
     simulated = frozenset(net for net in rare_nets(profile, report.threshold)
-                          if netlist.driver_of(net) is not None)
-    flags = report.flags
-    if not simulated:
-        flags = flags + (FLAG_ZERO_SIMULATED,)
-    return replace(report, simulated_nets=simulated, flags=flags)
+                          if net in gate_nets)
+    return replace(report, simulated_nets=simulated)
 
 
 def score(netlist: Netlist, stream_a: StimulusStream, stream_b: StimulusStream,
@@ -151,9 +143,13 @@ def operating_points(width: int, targets, rho_a: float, rho_b: float,
     """Yield `(target, stream_a, stream_b)` per target, in sorted order.
 
     Each operand's sigma is solved from its own rho; a target whose
-    mean +/- 3 sigma does not fit the word is skipped.
+    mean +/- 3 sigma does not fit the word is skipped, and a repeated
+    target raises `ValueError`.
     """
-    for t in sorted(targets):
+    targets = sorted(targets)
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"bp1 targets list a target twice: {targets}")
+    for t in targets:
         st_a, st_b = (WordStats(mean, solve_sigma_for_bp1(t, rho), rho, width)
                       for rho in (rho_a, rho_b))
         if st_a.fits_range() and st_b.fits_range():

@@ -35,8 +35,8 @@ def build_multiplier(kind: str, width: int) -> Netlist:
     if width not in _MULT_WIDTHS:
         raise ValueError(f"unsupported multiplier width {width}")
     bld = NetlistBuilder(kind.lower(), width)
-    a = [bld.input(f"a{i}", i) for i in range(width)]
-    b = [bld.input(f"b{i}", i) for i in range(width)]
+    a = [bld.input(f"a{i}") for i in range(width)]
+    b = [bld.input(f"b{i}") for i in range(width)]
     builder = {
         "ARRAY": _build_array, "VEDIC": _build_vedic,
         "DADDA": _build_dadda, "BOOTH": _build_booth,

@@ -6,11 +6,13 @@ the value it produces belongs to) and a block label (e.g. "FA13"); these
 drive region localization.  Netlists round-trip through a deterministic
 text format.
 
-Net ids run 0..n-1, one per net, and gates are listed in topological
-order: every gate reads only primary inputs and the outputs of gates
-listed before it.  The builder and `export_netlist` produce that order,
-and `import_netlist` takes gates in file order, so a file that breaks
-either rule raises `NetlistError`.
+Nets are numbered by position: the P primary inputs are nets 0..P-1 and
+gate k drives net P+k, so a net id is also the net's simulator row.
+Gates are listed in topological order: every gate reads only primary
+inputs and the nets of gates listed before it.  The builder and
+`export_netlist` produce this numbering and order, and `import_netlist`
+checks each `net` and `gate` line against its position, so a file that
+breaks either rule raises `NetlistError`.
 """
 
 from __future__ import annotations
@@ -37,39 +39,25 @@ def operand_bit(name: str) -> tuple[str, int] | None:
 
 
 @dataclass(frozen=True)
-class Net:
-    id: int
-    name: str
-    is_primary_input: bool
-    bit_slice: int
-
-
-@dataclass(frozen=True)
 class Gate:
-    id: int
     kind: str
     inputs: tuple[int, ...]
-    output: int
     bit_slice: int
     block: str
 
 
 class Netlist:
-    """Immutable combinational netlist with gates stored in topological order."""
+    """Immutable combinational netlist; gate k drives net P + k."""
 
-    __slots__ = ("name", "width", "gates", "nets", "primary_inputs",
-                 "primary_outputs", "_driver")
+    __slots__ = ("name", "width", "gates", "net_names", "primary_outputs")
 
     def __init__(self, name: str, width: int, gates: tuple[Gate, ...],
-                 nets: tuple[Net, ...], primary_inputs: tuple[int, ...],
-                 primary_outputs: tuple[int, ...]):
+                 net_names: tuple[str, ...], primary_outputs: tuple[int, ...]):
         self.name = name
         self.width = width
         self.gates = gates
-        self.nets = nets
-        self.primary_inputs = primary_inputs
+        self.net_names = net_names
         self.primary_outputs = primary_outputs
-        self._driver = {g.output: g for g in gates}
         self._validate()
 
     @property
@@ -80,101 +68,95 @@ class Netlist:
     def is_multiplier(self) -> bool:
         return self.output_width == 2 * self.width
 
-    def driver_of(self, net_id: int) -> Gate | None:
-        return self._driver.get(net_id)
+    @property
+    def primary_inputs(self) -> range:
+        return range(len(self.net_names) - len(self.gates))
 
-    def gate_output_nets(self) -> tuple[int, ...]:
-        return tuple(g.output for g in self.gates)
+    @property
+    def gate_nets(self) -> range:
+        """The net each gate drives, in gate order."""
+        return range(len(self.primary_inputs), len(self.net_names))
+
+    def driver_of(self, net_id: int) -> Gate | None:
+        """The gate driving `net_id`; None for a primary input."""
+        k = net_id - len(self.primary_inputs)
+        return self.gates[k] if 0 <= k < len(self.gates) else None
+
+    def bit_slice(self, net_id: int) -> int:
+        """Column of a net: its gate's, or the bit of an operand pin (cin: 0)."""
+        gate = self.driver_of(net_id)
+        if gate is not None:
+            return gate.bit_slice
+        pin = operand_bit(self.net_names[net_id])
+        return pin[1] if pin else 0
 
     def _validate(self) -> None:
-        ids = [n.id for n in self.nets]
-        if ids != list(range(len(ids))):
-            raise NetlistError("net ids must run 0..n-1 without gaps")
-        by_id = {n.id: n for n in self.nets}
-        pis = set(self.primary_inputs)
-        if len(self._driver) != len(self.gates):
-            raise NetlistError("a net has more than one driver")
+        n = len(self.net_names)
+        inputs = n - len(self.gates)
+        if inputs < 0:
+            raise NetlistError(f"{len(self.gates)} gates drive only {n} nets")
         pins = set()
-        for nid in pis:
-            if nid not in by_id:
-                raise NetlistError(f"unknown primary input net {nid}")
-            if nid in self._driver:
-                raise NetlistError(f"primary input net {nid} has a gate driver")
-            name = by_id[nid].name
+        for name in self.net_names[:inputs]:
             pin = operand_bit(name)
             if name != "cin" and (pin is None or pin[1] >= self.width):
                 raise NetlistError(
                     f"primary input {name!r} is neither cin nor a<k>/b<k> "
                     f"with k < {self.width}")
             pins.add(pin or name)
-        if len(pins) != len(pis):
+        if len(pins) != inputs:
             raise NetlistError("two primary inputs name the same pin")
-        available = set(pis)
-        for g in self.gates:
+        for k, g in enumerate(self.gates):
             if g.kind not in GATE_ARITY:
                 raise NetlistError(f"unknown gate kind {g.kind}")
             if len(g.inputs) != GATE_ARITY[g.kind]:
-                raise NetlistError(f"gate {g.id} ({g.kind}) has wrong arity")
+                raise NetlistError(f"gate {k} ({g.kind}) has wrong arity")
             for i in g.inputs:
-                if i not in by_id:
-                    raise NetlistError(f"gate {g.id} reads unknown net {i}")
-                if i not in available:
+                if not 0 <= i < n:
+                    raise NetlistError(f"gate {k} reads unknown net {i}")
+                if i >= inputs + k:
                     raise NetlistError(
-                        f"gate {g.id} is not in topological order (net {i})")
-            if g.output not in by_id:
-                raise NetlistError(f"gate {g.id} drives unknown net {g.output}")
+                        f"gate {k} is not in topological order (net {i})")
             if not 0 <= g.bit_slice < self.output_width:
                 raise NetlistError(
-                    f"gate {g.id} bit_slice {g.bit_slice} out of range")
-            available.add(g.output)
-        for nid in by_id:
-            if nid not in pis and nid not in self._driver:
-                raise NetlistError(f"net {nid} has no driver")
+                    f"gate {k} bit_slice {g.bit_slice} out of range")
         for nid in self.primary_outputs:
-            if nid not in by_id:
+            if not 0 <= nid < n:
                 raise NetlistError(f"unknown primary output net {nid}")
 
 
 class NetlistBuilder:
-    """Incremental netlist construction; gates are emitted in topological order."""
+    """Incremental netlist construction: all inputs first, then gates in
+    topological order.  `build` checks the result."""
 
     def __init__(self, name: str, width: int):
         self.name = name
         self.width = width
-        self._nets: list[Net] = []
+        self._names: list[str] = []
         self._gates: list[Gate] = []
-        self._pis: list[int] = []
         self._outputs: list[int] = []
         self._block_seq: dict[str, int] = {}
 
-    def input(self, name: str, bit_slice: int) -> int:
-        nid = len(self._nets)
-        self._nets.append(Net(nid, name, True, bit_slice))
-        self._pis.append(nid)
-        return nid
+    def input(self, name: str) -> int:
+        if self._gates:
+            raise NetlistError(
+                f"input {name!r} added after a gate: inputs are nets 0..P-1")
+        self._names.append(name)
+        return len(self._names) - 1
 
     def gate(self, kind: str, inputs: tuple[int, ...] | list[int],
              bit_slice: int, block: str) -> int:
-        inputs = tuple(inputs)
-        if kind not in GATE_ARITY or len(inputs) != GATE_ARITY[kind]:
-            raise NetlistError(f"bad gate {kind} with {len(inputs)} inputs")
-        for i in inputs:
-            if not 0 <= i < len(self._nets):
-                raise NetlistError(f"unknown input net {i}")
         seq = self._block_seq.get(block, 0)
         self._block_seq[block] = seq + 1
-        nid = len(self._nets)
-        name = f"{block}.{kind.lower()}{seq}"
-        self._nets.append(Net(nid, name, False, bit_slice))
-        self._gates.append(Gate(len(self._gates), kind, inputs, nid, bit_slice, block))
-        return nid
+        self._names.append(f"{block}.{kind.lower()}{seq}")
+        self._gates.append(Gate(kind, tuple(inputs), bit_slice, block))
+        return len(self._names) - 1
 
     def set_outputs(self, net_ids: list[int]) -> None:
         self._outputs = list(net_ids)
 
     def build(self) -> Netlist:
         return Netlist(self.name, self.width, tuple(self._gates),
-                       tuple(self._nets), tuple(self._pis), tuple(self._outputs))
+                       tuple(self._names), tuple(self._outputs))
 
 
 def slice_nets(netlist: Netlist, from_column: int) -> frozenset[int]:
@@ -186,23 +168,25 @@ def slice_nets(netlist: Netlist, from_column: int) -> frozenset[int]:
     if not 0 <= from_column < netlist.output_width:
         raise ValueError(
             f"from_column {from_column} out of range [0, {netlist.output_width})")
-    return frozenset(g.output for g in netlist.gates if g.bit_slice >= from_column)
+    return frozenset(net for net, g in zip(netlist.gate_nets, netlist.gates)
+                     if g.bit_slice >= from_column)
 
 
 def export_netlist(netlist: Netlist) -> str:
     """Serialize to the deterministic text format (nets by id, gates in order)."""
     lines = [f"arch={netlist.name} width={netlist.width}"]
     pos = set(netlist.primary_outputs)
-    for n in netlist.nets:
+    inputs = len(netlist.primary_inputs)
+    for nid, name in enumerate(netlist.net_names):
         flags = ""
-        if n.is_primary_input:
+        if nid < inputs:
             flags += " pi"
-        if n.id in pos:
+        if nid in pos:
             flags += " po"
-        lines.append(f"net {n.id} {n.name}{flags}")
-    for g in netlist.gates:
+        lines.append(f"net {nid} {name}{flags}")
+    for k, g in enumerate(netlist.gates):
         ins = ",".join(str(i) for i in g.inputs)
-        lines.append(f"gate {g.id} {g.kind} out={g.output} in={ins} "
+        lines.append(f"gate {k} {g.kind} out={inputs + k} in={ins} "
                      f"slice={g.bit_slice} block={g.block}")
     # output order matters (bit weights); record it explicitly
     lines.append("outputs " + ",".join(str(i) for i in netlist.primary_outputs))
@@ -210,11 +194,14 @@ def export_netlist(netlist: Netlist) -> str:
 
 
 def import_netlist(text: str) -> Netlist:
+    """Parse the text format, checking each line's id against its position."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise NetlistError("empty netlist")
-    raw_nets: dict[int, tuple[str, bool]] = {}
+    names: list[str] = []
+    inputs = 0
     gates: list[Gate] = []
+    heads: list[tuple[int, int]] = []  # (id, out=) of each gate line
     outputs: list[int] = []
     for lineno, ln in enumerate(lines):
         parts = ln.split()
@@ -225,15 +212,22 @@ def import_netlist(text: str) -> Netlist:
                 width = int(header["width"])
             elif parts[0] == "net":
                 nid = int(parts[1])
-                if nid in raw_nets:
-                    raise NetlistError(f"net {nid} is declared twice")
-                raw_nets[nid] = (parts[2], "pi" in parts[3:])
+                if nid != len(names):
+                    raise NetlistError(
+                        f"net {nid} is out of place: net lines must number "
+                        f"0..n-1 in file order (expected net {len(names)})")
+                names.append(parts[2])
+                if "pi" in parts[3:]:
+                    if inputs < nid:
+                        raise NetlistError(f"primary input net {nid} follows "
+                                           f"a gate-driven net")
+                    inputs += 1
             elif parts[0] == "gate":
                 fields = dict(p.split("=", 1) for p in parts[3:])
-                gates.append(Gate(int(parts[1]), parts[2],
+                heads.append((int(parts[1]), int(fields["out"])))
+                gates.append(Gate(parts[2],
                                   tuple(int(s) for s in fields["in"].split(",")),
-                                  int(fields["out"]), int(fields["slice"]),
-                                  fields["block"]))
+                                  int(fields["slice"]), fields["block"]))
             elif parts[0] == "outputs":
                 outputs = [int(s) for s in parts[1].split(",")]
             else:
@@ -241,19 +235,15 @@ def import_netlist(text: str) -> Netlist:
         except (KeyError, IndexError, ValueError) as exc:
             raise NetlistError(
                 f"malformed line {ln!r} ({type(exc).__name__}: {exc})") from None
-    slice_of: dict[int, int] = {g.output: g.bit_slice for g in gates}
-    nets = []
-    pis = []
-    for nid in sorted(raw_nets):
-        nm, is_pi = raw_nets[nid]
-        if is_pi:
-            pin = operand_bit(nm)
-            sl = pin[1] if pin else 0
-            pis.append(nid)
-        else:
-            sl = slice_of.get(nid, 0)
-        nets.append(Net(nid, nm, is_pi, sl))
-    return Netlist(name, width, tuple(gates), tuple(nets), tuple(pis), tuple(outputs))
+    for k, (gid, out) in enumerate(heads):
+        if (gid, out) != (k, inputs + k):
+            raise NetlistError(
+                f"gate {gid} out={out} is not in topological order: gate "
+                f"line {k} must read gate {k} out={inputs + k}")
+    if len(names) != inputs + len(gates):
+        raise NetlistError(f"{inputs} primary inputs and {len(gates)} gates "
+                           f"need {inputs + len(gates)} nets, got {len(names)}")
+    return Netlist(name, width, tuple(gates), tuple(names), tuple(outputs))
 
 
 def save_netlist(netlist: Netlist, path: str | Path) -> None:

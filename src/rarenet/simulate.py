@@ -10,10 +10,11 @@ shifted by one vector.  Only functional transitions are counted; there is
 no timing or glitch model.
 
 Vectors are processed in chunks of `CHUNK_WORDS` words into one
-(nets x chunk) buffer that every chunk reuses, and each net's last vector
-is carried into the next chunk's census.  Peak memory is therefore set by
-the netlist size and the chunk size, not by the vector count (`evaluate`,
-which returns whole waveforms, is the exception).
+(nets x chunk) buffer that every chunk reuses, net k in row k, and each
+net's last vector is carried into the next chunk's census.  Peak memory
+is therefore set by the netlist size and the chunk size, not by the
+vector count (`evaluate`, which returns whole waveforms, is the
+exception).
 
 Control pins without an operand mapping (the adder carry-in) are tied low,
 and nets made constant by the tie are excluded from the toggle census; see
@@ -70,9 +71,9 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
     """
     const: dict[int, int] = {}
     for net in netlist.primary_inputs:
-        if operand_bit(netlist.nets[net].name) is None:
+        if operand_bit(netlist.net_names[net]) is None:
             const[net] = 0
-    for gate in netlist.gates:
+    for net, gate in zip(netlist.gate_nets, netlist.gates):
         if const.keys().isdisjoint(gate.inputs):
             continue
         # constant when every value of the free inputs gives one output
@@ -81,46 +82,36 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
         outs = {(int(op(*vals)) ^ invert) & 1
                 for vals in itertools.product(*values)}
         if len(outs) == 1:
-            const[gate.output] = outs.pop()
+            const[net] = outs.pop()
     return frozenset(const)
-
-
-def _net_rows(netlist: Netlist) -> tuple[int, ...]:
-    """Net id held by each buffer row: primary inputs, then gate outputs."""
-    return netlist.primary_inputs + netlist.gate_output_nets()
 
 
 def _chunks(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     """Evaluate the netlist chunk by chunk.
 
-    Yields `(values, vectors)`: `values` is a (nets x words) packed view,
-    rows ordered as `_net_rows`, holding `vectors` vectors; bits past them
-    in the last word are undefined.  The view is overwritten by the next
-    chunk.
+    Yields `(values, vectors)`: `values` is a (nets x words) packed view
+    whose row k holds net k over `vectors` vectors; bits past them in the
+    last word are undefined.  The view is overwritten by the next chunk.
     """
     if a.bit_width != netlist.width or b.bit_width != netlist.width:
         raise ValueError("stream width does not match netlist operand width")
     if len(a.words) != len(b.words):
         raise ValueError("operand streams must have equal length")
-    rows = _net_rows(netlist)
-    row_of = {net: k for k, net in enumerate(rows)}
     operands = {"a": np.ascontiguousarray(a.words, "<i8"),
                 "b": np.ascontiguousarray(b.words, "<i8")}
     nbytes = -(-netlist.width // 8)
     sources = []  # control pins are never written, so they stay low
-    for k, net in enumerate(netlist.primary_inputs):
-        pin = operand_bit(netlist.nets[net].name)
+    for net in netlist.primary_inputs:
+        pin = operand_bit(netlist.net_names[net])
         if pin is not None:
-            sources.append((k, pin[0], pin[1]))
-    program = []
-    for gate in netlist.gates:
-        op, invert = _GATES[gate.kind]
-        program.append((op, tuple(row_of[i] for i in gate.inputs),
-                        row_of[gate.output], invert))
+            sources.append((net, pin[0], pin[1]))
+    program = [(*_GATES[gate.kind], gate.inputs, net)
+               for net, gate in zip(netlist.gate_nets, netlist.gates)]
 
     total = len(a.words)
     step = CHUNK_WORDS * 64
-    buf = np.zeros((len(rows), min(CHUNK_WORDS, -(-total // 64))), _WORD)
+    buf = np.zeros((len(netlist.net_names), min(CHUNK_WORDS, -(-total // 64))),
+                   _WORD)
     for start in range(0, total, step):
         stop = min(start + step, total)
         values = buf[:, :-(-(stop - start) // 64)]
@@ -131,11 +122,11 @@ def _chunks(netlist: Netlist, a: StimulusStream, b: StimulusStream):
                 words[start:stop].view(np.uint8).reshape(-1, 8)[:, :nbytes].T)
             for name, words in operands.items()
         }
-        for k, name, bit in sources:
+        for net, name, bit in sources:
             packed = np.packbits((planes[name][bit >> 3] >> (bit & 7)) & 1,
                                  bitorder="little")
-            view[k].view(np.uint8)[:packed.size] = packed
-        for op, ins, out, invert in program:
+            view[net].view(np.uint8)[:packed.size] = packed
+        for op, invert, ins, out in program:
             dst = view[out]
             if len(ins) == 2:
                 op(view[ins[0]], view[ins[1]], out=dst)
@@ -152,14 +143,13 @@ def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     This unpacks the simulator's packed words, so it holds one byte per net
     per vector; it is meant for checking the simulator, not for census runs.
     """
-    rows = _net_rows(netlist)
-    waves = np.empty((len(rows), len(a.words)), np.uint8)
+    waves = np.empty((len(netlist.net_names), len(a.words)), np.uint8)
     start = 0
     for values, n in _chunks(netlist, a, b):
         waves[:, start:start + n] = np.unpackbits(
             values.view(np.uint8), axis=1, count=n, bitorder="little")
         start += n
-    return dict(zip(rows, waves))
+    return dict(enumerate(waves))
 
 
 def _count_toggles(values, vectors: int, first: bool, carry, counts) -> None:
@@ -200,13 +190,12 @@ def simulate(netlist: Netlist, a: StimulusStream, b: StimulusStream) -> TogglePr
     vectors = len(a.words)
     if vectors < 2:
         raise ValueError("need at least two vectors to count transitions")
-    rows = _net_rows(netlist)
-    counts = np.zeros(len(rows), np.int64)
-    carry = np.zeros(len(rows), _WORD)
+    counts = np.zeros(len(netlist.net_names), np.int64)
+    carry = np.zeros(len(netlist.net_names), _WORD)
     for k, (values, n) in enumerate(_chunks(netlist, a, b)):
         _count_toggles(values, n, k == 0, carry, counts)
     dead = constant_nets(netlist)
-    toggles = {net: count for net, count in zip(rows, counts.tolist())
+    toggles = {net: count for net, count in enumerate(counts.tolist())
                if net not in dead}
     return ToggleProfile(vectors=vectors, toggles=toggles)
 
@@ -230,12 +219,10 @@ def export_activity(netlist: Netlist, profile: ToggleProfile, path) -> None:
              "vectors", "probability"]
         )
         for net_id in sorted(profile.toggles):
-            net = netlist.nets[net_id]
             gate = netlist.driver_of(net_id)
-            block = gate.block if gate else ""
-            bit_slice = gate.bit_slice if gate else net.bit_slice
             writer.writerow(
-                [net_id, net.name, block, bit_slice,
+                [net_id, netlist.net_names[net_id],
+                 gate.block if gate else "", netlist.bit_slice(net_id),
                  profile.toggles[net_id], profile.vectors,
                  f"{profile.probability(net_id):.12f}"]
             )

@@ -28,7 +28,6 @@ class WordStats:
     std_dev: float
     rho: float
     bit_width: int
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         if self.std_dev < 0:
@@ -169,7 +168,7 @@ def empirical_word_stats(stream: "StimulusStream") -> WordStats:
     mean = float(np.mean(x))
     std = float(np.std(x, ddof=1))
     if std == 0.0:
-        return WordStats(mean, 0.0, 0.0, stream.bit_width, degenerate=True)
+        return WordStats(mean, 0.0, 0.0, stream.bit_width)
     d = x - mean
     rho = float(np.dot(d[:-1], d[1:]) / np.dot(d, d))
     rho = min(1.0, max(-1.0, rho))

@@ -129,9 +129,8 @@ def test_criterion_5_localization():
     sa = generate(st, 10_000, 1)
     sb = generate(st, 10_000, 2)
     profile = simulate(nl, sa, sb)
-    gate_nets = frozenset(g.output for g in nl.gates)
-    rare = rare_nets(profile, 1e-5) & gate_nets
-    block_of = {g.output: g.block for g in nl.gates}
+    rare = rare_nets(profile, 1e-5) & set(nl.gate_nets)
+    block_of = dict(zip(nl.gate_nets, (g.block for g in nl.gates)))
     high = {f"FA{i}" for i in range(8, 16)}
     top = {f"FA{i}" for i in range(13, 16)}
     contained = bool(rare) and all(block_of[n] in high for n in rare)

@@ -92,7 +92,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(thresholds=())
     for bad in (dict(rho_a=1.0), dict(rho_b=1.5), dict(seed=-1),
-                dict(bp1_targets=(3, -3)), dict(bp1_targets=(2000,))):
+                dict(bp1_targets=(3, -3)), dict(bp1_targets=(2000,)),
+                dict(bp1_targets=(3, 3)),
+                dict(architectures=(("RCA", 8), ("CKA", 8), ("RCA", 8)))):
         with pytest.raises(ConfigError):
             small_config(**bad)
 
@@ -252,6 +254,15 @@ def test_cli_sweep_reports_mean_error(capsys):
     assert "mean_error=" in out
 
 
+def test_cli_sweep_repeated_target_exits_2(capsys):
+    rc = main(["sweep", "--arch", "RCA:8", "--rho", "0.9", "--bp1", "3",
+               "--bp1", "3", "--vectors", "300"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "bp1=" not in captured.out
+    assert "twice" in captured.err
+
+
 @pytest.mark.parametrize("target", ["-2", "2000"])
 def test_cli_sweep_target_outside_word_exits_2(capsys, target):
     rc = main(["sweep", "--arch", "RCA:8", "--rho", "0.9", "--bp1", target,
@@ -314,7 +325,9 @@ def test_cli_replicate_bad_config_exits_2(tmp_path):
                  "architectures = RCA:8\nbp1_targets = -3\n",
                  "architectures = RCA:8\narchitectures = CKA:8\n",
                  "architectures = RCA:12\n",
-                 "architectures = FOO:8\n"):
+                 "architectures = FOO:8\n",
+                 "architectures = RCA:8, rca:8\n",
+                 "architectures = RCA:8\nbp1_targets = 3, 3\n"):
         path.write_text(text)
         assert main(["replicate", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2, text

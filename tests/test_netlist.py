@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ from conftest import mutations
 
 def small_netlist():
     bld = NetlistBuilder("demo", 2)
-    a0 = bld.input("a0", 0)
-    b0 = bld.input("b0", 0)
+    a0 = bld.input("a0")
+    b0 = bld.input("b0")
     s = bld.gate("XOR", (a0, b0), 0, "bit0")
     c = bld.gate("AND", (a0, b0), 1, "bit0")
     bld.set_outputs([s, c])
@@ -38,21 +39,40 @@ def test_builder_produces_valid_netlist():
     assert nl.driver_of(nl.primary_inputs[0]) is None
 
 
+def test_nets_are_numbered_inputs_then_gates():
+    nl = small_netlist()
+    assert nl.primary_inputs == range(2)
+    assert nl.gate_nets == range(2, 4)
+    assert nl.net_names == ("a0", "b0", "bit0.xor0", "bit0.and1")
+    assert [nl.driver_of(n) for n in nl.gate_nets] == list(nl.gates)
+    assert nl.driver_of(4) is None
+    assert [nl.bit_slice(n) for n in range(4)] == [0, 0, 0, 1]
+
+
 def test_gate_validation():
+    # the builder records gates as given; build() checks them
+    for kind, inputs, message in (("NOT", (0, 0), "wrong arity"),
+                                  ("AND", (0, 99), "unknown net 99"),
+                                  ("MAJ3", (0, 0), "unknown gate kind")):
+        bld = NetlistBuilder("bad", 2)
+        a0 = bld.input("a0")
+        bld.set_outputs([bld.gate(kind, inputs, 0, "x"), a0])
+        with pytest.raises(NetlistError, match=message):
+            bld.build()
+
+
+def test_builder_rejects_input_after_gate():
     bld = NetlistBuilder("bad", 2)
-    a0 = bld.input("a0", 0)
-    with pytest.raises(NetlistError):
-        bld.gate("NOT", (a0, a0), 0, "x")  # wrong arity
-    with pytest.raises(NetlistError):
-        bld.gate("AND", (a0, 99), 0, "x")  # unknown net
-    with pytest.raises(NetlistError):
-        bld.gate("MAJ3", (a0, a0), 0, "x")  # unknown kind
+    a0 = bld.input("a0")
+    bld.gate("NOT", (a0,), 0, "x")
+    with pytest.raises(NetlistError, match="after a gate"):
+        bld.input("b0")
 
 
 @pytest.mark.parametrize("names", [("a0", "x0"), ("a0", "b2"), ("a0", "a0")])
 def test_primary_input_names_are_validated(names):
     bld = NetlistBuilder("bad", 2)
-    ins = [bld.input(name, 0) for name in names]
+    ins = [bld.input(name) for name in names]
     bld.set_outputs([bld.gate("AND", ins, 0, "x")])
     with pytest.raises(NetlistError):
         bld.build()
@@ -95,10 +115,10 @@ def test_export_import_round_trip_is_byte_identical():
 def test_import_preserves_structure():
     nl = small_netlist()
     back = import_netlist(export_netlist(nl))
-    assert [(g.kind, g.inputs, g.output) for g in back.gates] == \
-           [(g.kind, g.inputs, g.output) for g in nl.gates]
-    assert back.nets[2].bit_slice == 0
-    assert back.nets[3].bit_slice == 1
+    assert back.gates == nl.gates
+    assert back.net_names == nl.net_names
+    assert back.bit_slice(2) == 0
+    assert back.bit_slice(3) == 1
 
 
 def test_import_rejects_cycle():
@@ -139,6 +159,43 @@ def test_import_rejects_repeated_net_line():
     k = next(i for i, ln in enumerate(lines) if ln.startswith("net 12 "))
     lines.insert(k + 1, "net 12 renamed")
     with pytest.raises(NetlistError, match="net 12"):
+        import_netlist("\n".join(lines))
+
+
+RCA4_LINES = export_netlist(build_architecture("RCA", 4)).splitlines()
+
+
+def test_import_rejects_gate_lines_with_one_id():
+    # every gate line reads `gate 0`: each id must equal the line's position
+    lines = [re.sub(r"^gate \d+ ", "gate 0 ", ln) for ln in RCA4_LINES]
+    with pytest.raises(NetlistError, match="gate line 1 must read gate 1"):
+        import_netlist("\n".join(lines))
+
+
+def _swap_ids(lines, x, y, fields=r"net |out=|in=|,|outputs "):
+    """Exchange net ids x and y wherever `fields` precede an id."""
+    swap = {str(x): str(y), str(y): str(x)}
+    return [re.sub(rf"({fields})(\d+)\b",
+                   lambda m: m[1] + swap.get(m[2], m[2]), ln) for ln in lines]
+
+
+def test_import_rejects_primary_input_after_gate_net():
+    # cin (net 8) and the first gate-driven net (9) exchange ids everywhere,
+    # and the net lines stay sorted: consistent, but cin now follows net 8
+    lines = _swap_ids(RCA4_LINES, 8, 9)
+    k = lines.index("net 9 cin pi")
+    lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    assert lines[k:k + 2] == ["net 8 FA0.xor0", "net 9 cin pi"]
+    with pytest.raises(NetlistError, match="primary input net 9 follows"):
+        import_netlist("\n".join(lines))
+
+
+def test_import_rejects_gate_out_off_position():
+    # gates 2 and 3 exchange their output nets (11 and 12) in every gate
+    # line: each net still has one driver, but gate 2 no longer drives P + 2
+    lines = _swap_ids(RCA4_LINES, 11, 12, "out=|in=|,")
+    assert "gate 2 AND out=12 in=0,4 slice=0 block=FA0" in lines
+    with pytest.raises(NetlistError, match="must read gate 2 out=11"):
         import_netlist("\n".join(lines))
 
 

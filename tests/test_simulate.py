@@ -21,7 +21,7 @@ def bigint_reference(netlist, a_words, b_words):
     mask = (1 << n_vec) - 1
     values = {}
     for pid in netlist.primary_inputs:
-        name = netlist.nets[pid].name
+        name = netlist.net_names[pid]
         acc = 0
         for t in range(n_vec):
             if name[0] == "a" and name[1:].isdigit():
@@ -43,10 +43,10 @@ def bigint_reference(netlist, a_words, b_words):
         "BUF": lambda x: x,
     }
     out = {}
-    for g in netlist.gates:
-        out[g.output] = ops[g.kind](*[values[i] if i in values else out[i]
-                                      for i in g.inputs])
-        values[g.output] = out[g.output]
+    for net, g in zip(netlist.gate_nets, netlist.gates):
+        out[net] = ops[g.kind](*[values[i] if i in values else out[i]
+                                 for i in g.inputs])
+        values[net] = out[net]
     return values
 
 
@@ -66,7 +66,7 @@ def test_waveforms_match_reference_width_4(kind, netlist_of):
     got = evaluate(nl, make_stream(a, 4), make_stream(b, 4))
     ref = bigint_reference(nl, a, b)
     for net, wave in got.items():
-        assert as_int(wave) == ref[net], nl.nets[net].name
+        assert as_int(wave) == ref[net], nl.net_names[net]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -106,7 +106,7 @@ def assert_toggles_match_reference(nl, vectors, seed=23):
             assert acc in (0, (1 << vectors) - 1)
             continue
         flips = (acc ^ (acc >> 1)) & ((1 << (vectors - 1)) - 1)
-        assert prof.toggles[net] == flips.bit_count(), nl.nets[net].name
+        assert prof.toggles[net] == flips.bit_count(), nl.net_names[net]
 
 
 # 63/64/65 straddle the first packed-word boundary
@@ -157,7 +157,7 @@ def test_constant_nets_from_tied_carry_in(netlist_of):
 
     nl = netlist_of("RCA", 16)
     dead = constant_nets(nl)
-    gate_dead = dead & {g.output for g in nl.gates}
+    gate_dead = dead & set(nl.gate_nets)
     assert len(gate_dead) == 1
     (net,) = gate_dead
     assert nl.driver_of(net).block == "FA0"

@@ -129,8 +129,8 @@ def test_empirical_word_stats_matches_numpy():
 
 def test_empirical_word_stats_constant_stream():
     stats = empirical_word_stats(make_stream([42] * 10, 16))
-    assert stats.degenerate
     assert stats.std_dev == 0.0
+    assert stats.rho == 0.0
 
 
 def test_empirical_recovers_generated_target():
