@@ -45,7 +45,10 @@ def _add_stats_args(p):
     p.add_argument("--rho-b", type=float, default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: each parse fills a new
+    namespace from the declared defaults and leaves the tree unchanged."""
     top = argparse.ArgumentParser(
         prog="rarenet",
         description="Rare-net estimation and localization for arithmetic datapaths",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 
-from .netlist import Netlist, slice_nets
+from .netlist import Netlist
 from .simulate import ToggleProfile, rare_nets, simulate
 from .stats import Breakpoints, WordStats, breakpoints, combined_breakpoints, rho_msb
 from .stimulus import StimulusStream, generate
@@ -78,15 +78,19 @@ def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints,
     bp = effective_slice_start(netlist, bp_a, bp_b)
     if not 0 <= bp.bp1 < netlist.output_width:
         raise ValueError(f"bp1 {bp.bp1} outside output width")
-    nets = slice_nets(netlist, bp.bp1)
+    # the slice_nets set and its per-block counts, in one pass over the gates
+    start = bp.bp1
+    nets = []
     per_block: dict[str, int] = {}
-    for net in nets:
-        block = netlist.driver_of(net).block
-        per_block[block] = per_block.get(block, 0) + 1
-    blocks = tuple(sorted(per_block.items()))
+    for net, (_, _, col, block) in enumerate(netlist.gates,
+                                             len(netlist.primary_inputs)):
+        if col >= start:
+            nets.append(net)
+            per_block[block] = per_block.get(block, 0) + 1
     return RareNetReport(
         arch=netlist.name, width=netlist.width, bp=bp, threshold=threshold,
-        contributing_blocks=blocks, estimated_nets=nets,
+        contributing_blocks=tuple(sorted(per_block.items())),
+        estimated_nets=frozenset(nets),
     )
 
 

@@ -13,12 +13,15 @@ inputs and the nets of gates listed before it.  The builder and
 `export_netlist` produce this numbering and order, and `import_netlist`
 checks each `net` and `gate` line against its position, so a file that
 breaks either rule raises `NetlistError`.
+
+A `Gate` is a `typing.NamedTuple` of `(kind, inputs, bit_slice, block)`:
+immutable, cheap to build, and read by field name everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 GATE_ARITY: dict[str, int] = {
     "AND": 2, "OR": 2, "NAND": 2, "NOR": 2,
@@ -38,8 +41,11 @@ def operand_bit(name: str) -> tuple[str, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """One primitive gate: its kind (a `GATE_ARITY` key), the nets it
+    reads, its output-word column and its block label.  A NamedTuple, so
+    it is immutable and compares equal to the plain tuple of its fields."""
+
     kind: str
     inputs: tuple[int, ...]
     bit_slice: int
@@ -91,10 +97,11 @@ class Netlist:
         return pin[1] if pin else 0
 
     def _validate(self) -> None:
+        gates = self.gates
         n = len(self.net_names)
-        inputs = n - len(self.gates)
+        inputs = n - len(gates)
         if inputs < 0:
-            raise NetlistError(f"{len(self.gates)} gates drive only {n} nets")
+            raise NetlistError(f"{len(gates)} gates drive only {n} nets")
         pins = set()
         for name in self.net_names[:inputs]:
             pin = operand_bit(name)
@@ -105,23 +112,29 @@ class Netlist:
             pins.add(pin or name)
         if len(pins) != inputs:
             raise NetlistError("two primary inputs name the same pin")
-        for k, g in enumerate(self.gates):
-            if g.kind not in GATE_ARITY:
-                raise NetlistError(f"unknown gate kind {g.kind}")
-            if len(g.inputs) != GATE_ARITY[g.kind]:
-                raise NetlistError(f"gate {k} ({g.kind}) has wrong arity")
-            for i in g.inputs:
-                if not 0 <= i < n:
-                    raise NetlistError(f"gate {k} reads unknown net {i}")
-                if i >= inputs + k:
+        columns = self.output_width
+        for k, (kind, ins, col, _) in enumerate(gates):
+            arity = GATE_ARITY.get(kind)
+            if arity is None:
+                raise NetlistError(f"unknown gate kind {kind}")
+            if len(ins) != arity:
+                raise NetlistError(f"gate {k} ({kind}) has wrong arity")
+            driven = inputs + k  # gate k may read only nets below its own
+            for i in ins:
+                if not 0 <= i < driven:
+                    if not 0 <= i < n:
+                        raise NetlistError(f"gate {k} reads unknown net {i}")
                     raise NetlistError(
                         f"gate {k} is not in topological order (net {i})")
-            if not 0 <= g.bit_slice < self.output_width:
-                raise NetlistError(
-                    f"gate {k} bit_slice {g.bit_slice} out of range")
+            if not 0 <= col < columns:
+                raise NetlistError(f"gate {k} bit_slice {col} out of range")
+        seen = set()
         for nid in self.primary_outputs:
             if not 0 <= nid < n:
                 raise NetlistError(f"unknown primary output net {nid}")
+            if nid in seen:
+                raise NetlistError(f"primary output net {nid} is listed twice")
+            seen.add(nid)
 
 
 class NetlistBuilder:
@@ -147,9 +160,10 @@ class NetlistBuilder:
              bit_slice: int, block: str) -> int:
         seq = self._block_seq.get(block, 0)
         self._block_seq[block] = seq + 1
-        self._names.append(f"{block}.{kind.lower()}{seq}")
+        names = self._names
+        names.append(f"{block}.{kind.lower()}{seq}")
         self._gates.append(Gate(kind, tuple(inputs), bit_slice, block))
-        return len(self._names) - 1
+        return len(names) - 1
 
     def set_outputs(self, net_ids: list[int]) -> None:
         self._outputs = list(net_ids)
@@ -202,6 +216,7 @@ def import_netlist(text: str) -> Netlist:
     inputs = 0
     gates: list[Gate] = []
     heads: list[tuple[int, int]] = []  # (id, out=) of each gate line
+    flagged: set[int] = set()  # nets whose line carries the po flag
     outputs: list[int] = []
     for lineno, ln in enumerate(lines):
         parts = ln.split()
@@ -217,6 +232,8 @@ def import_netlist(text: str) -> Netlist:
                         f"net {nid} is out of place: net lines must number "
                         f"0..n-1 in file order (expected net {len(names)})")
                 names.append(parts[2])
+                if "po" in parts[3:]:
+                    flagged.add(nid)
                 if "pi" in parts[3:]:
                     if inputs < nid:
                         raise NetlistError(f"primary input net {nid} follows "
@@ -243,6 +260,10 @@ def import_netlist(text: str) -> Netlist:
     if len(names) != inputs + len(gates):
         raise NetlistError(f"{inputs} primary inputs and {len(gates)} gates "
                            f"need {inputs + len(gates)} nets, got {len(names)}")
+    if flagged != set(outputs):
+        raise NetlistError(
+            f"the po flags on net lines and the outputs line disagree on "
+            f"nets {sorted(flagged ^ set(outputs))}")
     return Netlist(name, width, tuple(gates), tuple(names), tuple(outputs))
 
 

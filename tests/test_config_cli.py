@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from rarenet.archlib import build_architecture
+from rarenet import cli
 from rarenet.cli import main
 from rarenet.config import (
     emit,
@@ -17,11 +18,11 @@ from rarenet.config import (
     parse,
     save_config,
 )
-from rarenet.estimate import sweep_bp1, write_report_csv
+from rarenet.estimate import compare, sweep_bp1, write_report_csv
 from rarenet.netlist import load_netlist
 from rarenet.stimulus import load_stream
 
-from conftest import mutations
+from conftest import ADDERS, MULTS, mutations
 
 
 def small_config(**overrides):
@@ -286,6 +287,64 @@ def test_cli_locate_no_sim(capsys):
                "--no-sim"])
     assert rc == 0
     assert "simulated rare nets" not in capsys.readouterr().out
+
+
+# One operating point per supported kind and width (sigma = 2^(w/2),
+# rho = 0.99) for the two commands that estimate without simulating.
+ESTIMATE_PATH_COMMANDS = [
+    [command, "--arch", f"{kind}:{width}", "--std", str(2 ** (width // 2)),
+     "--rho", "0.99", *extra]
+    for kind in ADDERS + MULTS
+    for width in ((4, 8, 16, 32) if kind in ADDERS else (4, 8, 16))
+    for command, extra in (("estimate", []), ("locate", ["--no-sim"]))
+]
+
+
+def estimate_path_transcript(capsys) -> str:
+    """Each command line, then its stdout, for every ESTIMATE_PATH_COMMANDS."""
+    chunks = []
+    for argv in ESTIMATE_PATH_COMMANDS:
+        assert main(argv) == 0
+        chunks.append("$ rarenet " + " ".join(argv) + "\n"
+                      + capsys.readouterr().out)
+    return "".join(chunks)
+
+
+def test_cli_estimate_and_locate_no_sim_match_golden(capsys):
+    golden = Path(__file__).parent / "data" / "estimate_paths.txt"
+    assert estimate_path_transcript(capsys) == golden.read_text()
+
+
+def test_cli_parser_is_built_once_and_reused(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    # an `append` option starts empty on every call
+    for target in ("3", "4"):
+        assert main(["sweep", "--arch", "RCA:8", "--rho", "0.9", "--bp1",
+                     target, "--vectors", "300", "--threshold", "1e-3"]) == 0
+        points = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("bp1=")]
+        assert [p.split()[0] for p in points] == [f"bp1={target}"]
+    # an option given once does not stay set for the next call
+    sigmas_b = []
+
+    def spy(netlist, stats_a, stats_b, *args):
+        sigmas_b.append(stats_b.std_dev)
+        return compare(netlist, stats_a, stats_b, *args)
+
+    monkeypatch.setattr(cli, "compare", spy)
+    base = ["compare", "--arch", "RCA:8", "--std", "16", "--rho", "0.9",
+            "--vectors", "300"]
+    assert main(base + ["--std-b", "9"]) == 0
+    assert main(base) == 0
+    assert sigmas_b == [9.0, 16.0]
+    capsys.readouterr()
+    # a usage error leaves the parser able to parse the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--arch", "RCA:8"])
+    assert exc.value.code == 2
+    assert main(["estimate", "--arch", "RCA:16", "--std", "1024",
+                 "--rho", "0.99"]) == 0
+    assert capsys.readouterr().out.startswith("arch=rca width=16 bp0=8 bp1=11")
 
 
 def test_cli_rejects_invalid_stats():

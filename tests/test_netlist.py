@@ -125,8 +125,8 @@ def test_import_rejects_cycle():
     text = (
         "arch=x width=2\n"
         "net 0 a0 pi\n"
-        "net 1 u\n"
-        "net 2 v\n"
+        "net 1 u po\n"
+        "net 2 v po\n"
         "gate 0 AND out=1 in=0,2 slice=0 block=b\n"
         "gate 1 AND out=2 in=0,1 slice=0 block=b\n"
         "outputs 1,2\n"
@@ -196,6 +196,41 @@ def test_import_rejects_gate_out_off_position():
     lines = _swap_ids(RCA4_LINES, 11, 12, "out=|in=|,")
     assert "gate 2 AND out=12 in=0,4 slice=0 block=FA0" in lines
     with pytest.raises(NetlistError, match="must read gate 2 out=11"):
+        import_netlist("\n".join(lines))
+
+
+def test_builder_rejects_repeated_primary_output():
+    bld = NetlistBuilder("demo", 2)
+    a0, b0 = bld.input("a0"), bld.input("b0")
+    s = bld.gate("XOR", (a0, b0), 0, "bit0")
+    bld.set_outputs([s, s])
+    with pytest.raises(NetlistError, match="output net 2 is listed twice"):
+        bld.build()
+
+
+def test_import_rejects_repeated_primary_output():
+    # net 10 is the one flagged output and fills all five output columns
+    lines = [ln.replace(" po", "") if ln.startswith("net ") and
+             not ln.startswith("net 10 ") else ln for ln in RCA4_LINES]
+    lines[-1] = "outputs 10,10,10,10,10"
+    with pytest.raises(NetlistError, match="net 10 is listed twice"):
+        import_netlist("\n".join(lines))
+
+
+def test_import_rejects_missing_po_flags():
+    lines = [ln.replace(" po", "") for ln in RCA4_LINES]
+    with pytest.raises(NetlistError,
+                       match=re.escape("disagree on nets [10, 15, 20, 25, 28]")):
+        import_netlist("\n".join(lines))
+
+
+def test_import_rejects_po_flags_that_disagree_with_outputs():
+    # the carry-out's flag moves from net 28 to net 27
+    lines = [ln.replace("net 28 FA3.or4 po", "net 28 FA3.or4")
+             .replace("net 27 FA3.and3", "net 27 FA3.and3 po")
+             for ln in RCA4_LINES]
+    assert "net 27 FA3.and3 po" in lines
+    with pytest.raises(NetlistError, match=re.escape("nets [27, 28]")):
         import_netlist("\n".join(lines))
 
 
