@@ -22,7 +22,7 @@ from .estimate import (SweepPoint, SweepResult, compare, estimate_rare_nets,
 from .netlist import NetlistError, load_netlist, save_netlist
 from .simulate import export_activity, simulate
 from .stats import WordStats, breakpoints
-from .stimulus import generate, load_stream, save_stream
+from .stimulus import check_range, generate, load_stream, save_stream
 
 
 def _stats_pair(args, width: int) -> tuple[WordStats, WordStats]:
@@ -33,6 +33,8 @@ def _stats_pair(args, width: int) -> tuple[WordStats, WordStats]:
         args.rho if args.rho_b is None else args.rho_b,
         width,
     )
+    check_range(sa)
+    check_range(sb)
     return sa, sb
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from .netlist import Netlist
 from .simulate import ToggleProfile, rare_nets, simulate
 from .stats import Breakpoints, WordStats, breakpoints, combined_breakpoints, rho_msb
-from .stimulus import StimulusStream, generate
+from .stimulus import StimulusStream, generate, quantise, unit_chain
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,13 @@ def score(netlist: Netlist, stream_a: StimulusStream, stream_b: StimulusStream,
                         profile), profile
 
 
-def _stream_pair(st_a: WordStats, st_b: WordStats, length: int, seed: int):
-    # operand B draws from the next seed, so the two streams are independent
-    return generate(st_a, length, seed), generate(st_b, length, seed + 1)
-
-
 def compare(netlist: Netlist, stats_a: WordStats, stats_b: WordStats,
             threshold: float = 1e-4, stream_len: int = 10_000,
             seed: int = 1) -> RareNetReport:
     """Estimate, then simulate under matching stimulus, and score the error."""
-    return score(netlist, *_stream_pair(stats_a, stats_b, stream_len, seed),
-                 threshold)[0]
+    # operand B draws from the next seed, so the two streams are independent
+    return score(netlist, generate(stats_a, stream_len, seed),
+                 generate(stats_b, stream_len, seed + 1), threshold)[0]
 
 
 # -------------------------------------------------------------------- sweep
@@ -148,16 +144,21 @@ def operating_points(width: int, targets, rho_a: float, rho_b: float,
 
     Each operand's sigma is solved from its own rho; a target whose
     mean +/- 3 sigma does not fit the word is skipped, and a repeated
-    target raises `ValueError`.
+    target raises `ValueError`.  All targets quantise one chain per operand
+    (B's from `seed + 1`), so each stream equals `generate`'s.
     """
     targets = sorted(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"bp1 targets list a target twice: {targets}")
+    chains = ()
     for t in targets:
         st_a, st_b = (WordStats(mean, solve_sigma_for_bp1(t, rho), rho, width)
                       for rho in (rho_a, rho_b))
         if st_a.fits_range() and st_b.fits_range():
-            yield (t, *_stream_pair(st_a, st_b, vectors, seed))
+            chains = chains or (unit_chain(rho_a, vectors, seed),
+                                unit_chain(rho_b, vectors, seed + 1))
+            yield (t, quantise(st_a, chains[0], seed),
+                   quantise(st_b, chains[1], seed + 1))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ and nets made constant by the tie are excluded from the toggle census; see
 
 from __future__ import annotations
 
-import csv
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -210,19 +210,31 @@ def rare_nets(profile: ToggleProfile, threshold: float) -> frozenset[int]:
     )
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_fields(texts):
+    """`texts` as `csv.writer` writes fields: quoted if one holds , " CR or LF."""
+    if not _NEEDS_QUOTES.search("".join(texts)):
+        return texts
+    return ['"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s
+            for s in texts]
+
+
 def export_activity(netlist: Netlist, profile: ToggleProfile, path) -> None:
-    """Write per-net activity as CSV, one row per net, sorted by net id."""
+    """Write per-net activity as CSV, one row per net, sorted by net id.
+
+    The text is what `csv.writer` writes; per-net columns are built once.
+    """
+    inputs = netlist.primary_inputs
+    names = _csv_fields(netlist.net_names)
+    blocks = _csv_fields([""] * len(inputs) + [g.block for g in netlist.gates])
+    slices = ([netlist.bit_slice(n) for n in inputs]
+              + [g.bit_slice for g in netlist.gates])
+    vectors = profile.vectors
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["net_id", "net_name", "block", "slice", "toggles",
-             "vectors", "probability"]
-        )
-        for net_id in sorted(profile.toggles):
-            gate = netlist.driver_of(net_id)
-            writer.writerow(
-                [net_id, netlist.net_names[net_id],
-                 gate.block if gate else "", netlist.bit_slice(net_id),
-                 profile.toggles[net_id], profile.vectors,
-                 f"{profile.probability(net_id):.12f}"]
-            )
+        fh.write("net_id,net_name,block,slice,toggles,vectors,probability\r\n")
+        fh.write("".join([
+            f"{n},{names[n]},{blocks[n]},{slices[n]},{t},{vectors},"
+            f"{t / (vectors - 1):.12f}\r\n"
+            for n, t in sorted(profile.toggles.items())]))

@@ -1,10 +1,12 @@
 """Seeded correlated stimulus generation.
 
-Streams are drawn from a lag-1 autoregressive Gaussian process, scaled and
-shifted to the target word statistics, rounded, and saturated to the
-two's-complement range.  The first 100 samples of the chain are discarded
-so emitted words are stationary.  Generation is reproducible: the same
-(target, length, seed) always yields the identical stream (numpy PCG64).
+A stream is a chain plus a quantisation.  The chain is a unit-variance
+lag-1 autoregressive Gaussian sequence, set by (rho, length, seed), whose
+first 100 samples are discarded so emitted words are stationary; streams
+that share (rho, seed) share one chain.  Quantisation scales and shifts it
+to the target word statistics, rounds, and saturates to the
+two's-complement range.  The same (target, length, seed) always yields the
+identical stream (numpy PCG64).
 """
 
 from __future__ import annotations
@@ -36,39 +38,50 @@ class StimulusStream:
         return int(self.words.size)
 
 
-def generate(target: WordStats, length: int, seed: int) -> StimulusStream:
-    """Generate `length` words of AR(1) Gaussian stimulus matching `target`."""
-    if length < 2:
-        raise ValueError(f"length must be >= 2, got {length}")
+def check_range(target: WordStats) -> None:
+    """Raise `ValueError` when mean +/- 3 sigma does not fit the word."""
     if not target.fits_range():
         raise ValueError(
             f"target mean +/- 3 sigma exceeds the {target.bit_width}-bit range")
+
+
+def unit_chain(rho: float, length: int, seed: int) -> np.ndarray:
+    """`length` stationary samples of the unit-variance AR(1) chain."""
+    if length < 2:
+        raise ValueError(f"length must be >= 2, got {length}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(length + _WARMUP)
-    rho = target.rho
     scale = math.sqrt(max(0.0, 1.0 - rho * rho))
     # the recurrence runs on Python floats: the same IEEE operations in the
     # same order as elementwise numpy, without per-element array access
     y = [float(w[0])]
     for drive in (scale * w[1:]).tolist():
         y.append(rho * y[-1] + drive)
-    y = np.array(y[_WARMUP:])
-    x = np.rint(target.mean + target.std_dev * y)
-    lo = float(target.min_value)
-    hi = float(target.max_value)
-    words = np.clip(x, lo, hi).astype(np.int64)
-    return StimulusStream(words, target.bit_width, seed, target)
+    return np.array(y[_WARMUP:])
+
+
+def quantise(target: WordStats, chain: np.ndarray, seed: int) -> StimulusStream:
+    """Scale, round and saturate a `unit_chain` of `target.rho` to `target`."""
+    check_range(target)
+    x = np.rint(target.mean + target.std_dev * chain)
+    words = np.clip(x, float(target.min_value), float(target.max_value))
+    return StimulusStream(words.astype(np.int64), target.bit_width, seed, target)
+
+
+def generate(target: WordStats, length: int, seed: int) -> StimulusStream:
+    """Generate `length` words of AR(1) Gaussian stimulus matching `target`."""
+    check_range(target)
+    return quantise(target, unit_chain(target.rho, length, seed), seed)
 
 
 def dump_stream(stream: StimulusStream) -> str:
-    """Serialize a stream to the text interchange format (bit-exact)."""
+    """Serialize a stream to the text format; each distinct word is formatted once."""
     t = stream.target
-    lines = [
-        f"width={stream.bit_width} seed={stream.seed} "
-        f"mu={t.mean!r} sigma={t.std_dev!r} rho={t.rho!r}"
-    ]
-    lines.extend(map(str, stream.words.tolist()))
-    return "\n".join(lines) + "\n"
+    values, index = np.unique(stream.words, return_inverse=True)
+    lines = np.array([f"{v}\n" for v in values.tolist()], dtype=object)[index]
+    return (f"width={stream.bit_width} seed={stream.seed} "
+            f"mu={t.mean!r} sigma={t.std_dev!r} rho={t.rho!r}\n"
+            + "".join(lines.tolist()))
 
 
 def parse_stream(text: str) -> StimulusStream:

@@ -300,19 +300,36 @@ ESTIMATE_PATH_COMMANDS = [
 ]
 
 
-def estimate_path_transcript(capsys) -> str:
-    """Each command line, then its stdout, for every ESTIMATE_PATH_COMMANDS."""
-    chunks = []
-    for argv in ESTIMATE_PATH_COMMANDS:
-        assert main(argv) == 0
-        chunks.append("$ rarenet " + " ".join(argv) + "\n"
-                      + capsys.readouterr().out)
-    return "".join(chunks)
-
-
 def test_cli_estimate_and_locate_no_sim_match_golden(capsys):
+    """Each command line, then its stdout, equals its chunk of the golden
+    transcript; a point whose mean +/- 3 sigma does not fit exits 2."""
     golden = Path(__file__).parent / "data" / "estimate_paths.txt"
-    assert estimate_path_transcript(capsys) == golden.read_text()
+    chunks = re.split(r"(?m)^(?=\$ )", golden.read_text())[1:]
+    assert len(chunks) == len(ESTIMATE_PATH_COMMANDS)
+    rejected = []
+    for argv, chunk in zip(ESTIMATE_PATH_COMMANDS, chunks):
+        line = "$ rarenet " + " ".join(argv) + "\n"
+        assert chunk.startswith(line)
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if rc == 2:
+            assert out == "" and "exceeds the 4-bit range" in err
+            rejected.append(argv[2])
+        else:
+            assert (rc, line + out) == (0, chunk)
+    # only the 4-bit points are out of range (3 sigma = 12 > 7); their
+    # golden chunks hold the answers printed before the range check
+    assert rejected == [argv[2] for argv in ESTIMATE_PATH_COMMANDS
+                        if argv[2].endswith(":4")]
+
+
+def test_cli_estimate_paths_check_the_range(capsys):
+    for argv in (["estimate"], ["locate", "--no-sim"]):
+        for stats in (["--std", "1e300"], ["--std", "1024", "--std-b", "1e9"]):
+            rc = main([*argv, "--arch", "RCA:16", *stats, "--rho", "0.99"])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (2, "")
+            assert "target mean +/- 3 sigma exceeds the 16-bit range" in err
 
 
 def test_cli_parser_is_built_once_and_reused(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from rarenet.estimate import (
@@ -16,7 +17,7 @@ from rarenet.estimate import (
 )
 from rarenet.netlist import slice_nets
 from rarenet.stats import Breakpoints, WordStats, breakpoints
-from rarenet.stimulus import generate
+from rarenet.stimulus import dump_stream, generate, unit_chain
 
 from conftest import ADDERS, MULTS
 
@@ -184,6 +185,33 @@ def test_operating_points_solve_each_operand_and_skip_misfits():
         assert sa.target.std_dev == solve_sigma_for_bp1(t, 0.99)
         assert sb.target == WordStats(0.0, solve_sigma_for_bp1(t, 0.5), 0.5, 8)
 
+
+
+def test_operating_points_share_one_chain_per_operand(monkeypatch):
+    """Every point quantises the same two chains, yet each stream equals
+    `generate` for its own target, word for word."""
+    from rarenet import estimate
+    built = []
+
+    def counting_chain(rho, length, seed):
+        built.append((rho, seed))
+        return unit_chain(rho, length, seed)
+
+    monkeypatch.setattr(estimate, "unit_chain", counting_chain)
+    mean, rho_a, rho_b = 100.0, 0.99, 0.9
+    points = list(operating_points(16, [13, 4, 8, 15], rho_a, rho_b, 3000,
+                                   seed=5, mean=mean))
+    assert [t for t, _, _ in points] == [4, 8, 13]  # 15 misfits operand A
+    assert built == [(rho_a, 5), (rho_b, 6)]
+    for t, sa, sb in points:
+        ref_a = generate(WordStats(mean, solve_sigma_for_bp1(t, rho_a), rho_a,
+                                   16), 3000, 5)
+        ref_b = generate(WordStats(mean, solve_sigma_for_bp1(t, rho_b), rho_b,
+                                   16), 3000, 6)
+        for got, ref in ((sa, ref_a), (sb, ref_b)):
+            assert np.array_equal(got.words, ref.words)
+            assert (got.seed, got.target) == (ref.seed, ref.target)
+            assert dump_stream(got) == dump_stream(ref)
 
 def test_report_csv_round_trip(tmp_path, netlist_of):
     nl = netlist_of("RCA", 8)

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import itertools
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 from rarenet.archlib import ALL_KINDS
 from rarenet.simulate import (CHUNK_WORDS, ToggleProfile, evaluate,
                               export_activity, rare_nets, simulate)
+from rarenet.netlist import Netlist, export_netlist, import_netlist
 from rarenet.stats import WordStats
 from rarenet.stimulus import generate
 
@@ -209,6 +212,42 @@ def test_activity_golden_fixture(tmp_path, netlist_of, request):
     export_activity(nl, prof, path)
     assert path.read_text() == golden.read_text()
 
+
+
+def _csv_writer_activity(nl, prof) -> str:
+    ref = io.StringIO()
+    writer = csv.writer(ref)
+    writer.writerow(["net_id", "net_name", "block", "slice", "toggles",
+                     "vectors", "probability"])
+    for net in sorted(prof.toggles):
+        gate = nl.driver_of(net)
+        writer.writerow([net, nl.net_names[net], gate.block if gate else "",
+                         nl.bit_slice(net), prof.toggles[net], prof.vectors,
+                         f"{prof.probability(net):.12f}"])
+    return ref.getvalue()
+
+
+def test_activity_export_matches_csv_writer(tmp_path, netlist_of):
+    """The rows are what `csv.writer` writes, quoting included."""
+    text = export_netlist(netlist_of("RCA", 4))
+    text = text.replace("net 14 FA1.xor0", 'net 14 FA1,"xor0"')
+    text = text.replace("block=FA2", 'block=F,A"2')
+    imported = import_netlist(text)
+    assert imported.net_names[14] == 'FA1,"xor0"'
+    names = list(imported.net_names)
+    names[20], names[21] = "line\nbreak", "carriage\rreturn"
+    built = Netlist(imported.name, imported.width, imported.gates,
+                    tuple(names), imported.primary_outputs)
+    target = WordStats(0.0, 2.0, 0.5, 4)
+    prof = simulate(imported, generate(target, 1000, 1),
+                    generate(target, 1000, 2))
+    for nl, quoted in ((imported, ['"FA1,""xor0"""', '"F,A""2"']),
+                       (built, ['"line\nbreak"', '"carriage\rreturn"'])):
+        path = tmp_path / "activity.csv"
+        export_activity(nl, prof, path)
+        ref = _csv_writer_activity(nl, prof)
+        assert path.read_bytes().decode() == ref
+        assert all(q in ref for q in quoted)
 
 # len(constant_nets) for every supported kind and width: the tied carry-in
 # and the gates it fixes; multipliers have no carry-in

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 
 from rarenet.stats import WordStats, empirical_bit_profile, empirical_word_stats
-from rarenet.stimulus import dump_stream, generate, load_stream, parse_stream, save_stream
+from rarenet.stimulus import (StimulusStream, dump_stream, generate, load_stream,
+                              parse_stream, quantise, save_stream)
 
 from conftest import mutations
 
@@ -41,6 +42,19 @@ def test_length_and_range_validation():
         generate(TARGET, 1, 1)
     with pytest.raises(ValueError):
         generate(WordStats(0.0, 1e6, 0.0, 8), 10, 1)
+
+
+def test_validation_precedes_chain_work(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the chain was started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    with pytest.raises(ValueError, match="length"):
+        generate(TARGET, 1, 1)
+    with pytest.raises(ValueError, match="exceeds the 8-bit range"):
+        generate(WordStats(0.0, 1e6, 0.99, 8), 10_000, 1)
+    with pytest.raises(ValueError, match="exceeds the 8-bit range"):
+        quantise(WordStats(0.0, 1e6, 0.99, 8), np.zeros(10), 1)
 
 
 def test_target_statistics_recovered():
@@ -82,6 +96,26 @@ def test_golden_stream_fixture(request):
     golden = request.path.parent / "data" / "stream_w16_seed5.txt"
     s = generate(TARGET, 50, 5)
     assert dump_stream(s) == golden.read_text()
+
+
+def _line_per_word(stream):
+    """Reference text: the header, then one `str(word)` line per word."""
+    t = stream.target
+    header = (f"width={stream.bit_width} seed={stream.seed} "
+              f"mu={t.mean!r} sigma={t.std_dev!r} rho={t.rho!r}")
+    return "\n".join([header, *map(str, stream.words.tolist())]) + "\n"
+
+
+@pytest.mark.parametrize("width", [2, 16, 64])
+def test_dump_stream_matches_line_per_word_format(width):
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    rng = np.random.default_rng(width)
+    words = np.concatenate([[lo, hi, 0, -1, hi, lo, lo],
+                            rng.integers(lo, hi, 300, endpoint=True)])
+    target = WordStats(0.5, 0.25, -0.3, width)
+    for ws in (words, words[:0]):
+        stream = StimulusStream(ws.astype(np.int64), width, 11, target)
+        assert dump_stream(stream) == _line_per_word(stream)
 
 
 def test_parse_rejects_garbage():
