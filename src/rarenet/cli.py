@@ -20,7 +20,7 @@ from .config import (ConfigError, ExperimentConfig, default_bp1_targets,
 from .estimate import (SweepPoint, SweepResult, compare, estimate_rare_nets,
                        operating_points, score, sweep_bp1, write_report_csv)
 from .netlist import NetlistError, load_netlist, save_netlist
-from .simulate import export_activity, simulate
+from .simulate import RARE_THRESHOLD, export_activity, simulate
 from .stats import WordStats, breakpoints
 from .stimulus import check_range, generate, load_stream, save_stream
 
@@ -45,6 +45,12 @@ def _add_stats_args(p):
     p.add_argument("--mean-b", type=float, default=None)
     p.add_argument("--std-b", type=float, default=None)
     p.add_argument("--rho-b", type=float, default=None)
+
+
+def _add_sim_args(p):
+    p.add_argument("--threshold", type=float, default=RARE_THRESHOLD)
+    p.add_argument("--vectors", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=1)
 
 
 @functools.cache
@@ -86,30 +92,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", type=parse_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--vectors", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=1)
+    _add_sim_args(p)
     p.add_argument("--out", default=None, help="optional report CSV")
 
     p = sub.add_parser("sweep", help="error across boundary-column targets")
     p.add_argument("--arch", type=parse_arch, required=True,
                    metavar="KIND:WIDTH")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--bp1", type=int, action="append", required=True,
                    help="target column (repeatable)")
     p.add_argument("--mean", type=float, default=0.0)
-    p.add_argument("--vectors", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=1)
+    _add_sim_args(p)
     p.add_argument("--out", default=None, help="optional report CSV")
 
     p = sub.add_parser("locate", help="list the vulnerable region of a module")
     p.add_argument("--arch", type=parse_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
-    p.add_argument("--threshold", type=float, default=1e-5)
-    p.add_argument("--vectors", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=1)
+    _add_sim_args(p)
     p.add_argument("--no-sim", action="store_true",
                    help="estimation only, skip simulation")
 

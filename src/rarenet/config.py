@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .simulate import RARE_THRESHOLD
+
 
 class ConfigError(Exception):
     pass
@@ -27,7 +29,7 @@ class ExperimentConfig:
     architectures: tuple[tuple[str, int], ...]
     rho_a: float = 0.99
     rho_b: float = 0.99
-    thresholds: tuple[float, ...] = (1e-6,)
+    thresholds: tuple[float, ...] = (RARE_THRESHOLD,)
     bp1_targets: tuple[int, ...] = ()
     vectors: int = 10_000
     seed: int = 1

@@ -22,8 +22,8 @@ import csv
 from dataclasses import dataclass, field, replace
 
 from .netlist import Netlist
-from .simulate import ToggleProfile, rare_nets, simulate
-from .stats import Breakpoints, WordStats, breakpoints, combined_breakpoints, rho_msb
+from .simulate import RARE_THRESHOLD, ToggleProfile, rare_nets, simulate
+from .stats import Breakpoints, WordStats, breakpoints, rho_msb
 from .stimulus import StimulusStream, generate, quantise, unit_chain
 
 
@@ -39,7 +39,6 @@ class RareNetReport:
     estimated_nets: frozenset[int] = field(repr=False, default=frozenset())
     simulated_nets: frozenset[int] | None = field(repr=False, default=None)
     stats_a: WordStats | None = None
-    stats_b: WordStats | None = None
 
     @property
     def estimated_count(self) -> int:
@@ -58,23 +57,21 @@ class RareNetReport:
 
 def effective_slice_start(netlist: Netlist, bp_a: Breakpoints,
                           bp_b: Breakpoints) -> Breakpoints:
-    """Combine operand breakpoints into the output-column boundary pair."""
+    """Combine operand breakpoints into the output-column boundary pair.
+
+    An adder takes the widest region (min of the BP0s, max of the BP1s);
+    a multiplier adds them, clamped to the product width.
+    """
     if netlist.is_multiplier:
         top = netlist.output_width - 1
-        return Breakpoints(
-            bp0=min(max(bp_a.bp0 + bp_b.bp0, 0), top),
-            bp1=min(max(bp_a.bp1 + bp_b.bp1, 0), top),
-            degenerate=bp_a.degenerate or bp_b.degenerate,
-        )
-    return combined_breakpoints(bp_a, bp_b)
+        return Breakpoints(min(max(bp_a.bp0 + bp_b.bp0, 0), top),
+                           min(max(bp_a.bp1 + bp_b.bp1, 0), top))
+    return Breakpoints(min(bp_a.bp0, bp_b.bp0), max(bp_a.bp1, bp_b.bp1))
 
 
-def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints,
-                       bp_b: Breakpoints | None = None,
-                       threshold: float = 1e-4) -> RareNetReport:
+def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints, bp_b: Breakpoints,
+                       threshold: float = RARE_THRESHOLD) -> RareNetReport:
     """Predict the rare-net set of a module from operand breakpoints."""
-    if bp_b is None:
-        bp_b = bp_a
     bp = effective_slice_start(netlist, bp_a, bp_b)
     if not 0 <= bp.bp1 < netlist.output_width:
         raise ValueError(f"bp1 {bp.bp1} outside output width")
@@ -109,21 +106,20 @@ def check_report(netlist: Netlist, report: RareNetReport,
 def score(netlist: Netlist, stream_a: StimulusStream, stream_b: StimulusStream,
           threshold: float) -> tuple[RareNetReport, ToggleProfile]:
     """Estimate from the streams' targets, simulate, and score the report."""
-    st_a, st_b = stream_a.target, stream_b.target
-    rep = estimate_rare_nets(netlist, breakpoints(st_a), breakpoints(st_b),
-                             threshold)
+    st_a = stream_a.target
+    rep = estimate_rare_nets(netlist, breakpoints(st_a),
+                             breakpoints(stream_b.target), threshold)
     profile = simulate(netlist, stream_a, stream_b)
-    return check_report(netlist, replace(rep, stats_a=st_a, stats_b=st_b),
-                        profile), profile
+    return check_report(netlist, replace(rep, stats_a=st_a), profile), profile
 
 
-def compare(netlist: Netlist, stats_a: WordStats, stats_b: WordStats,
-            threshold: float = 1e-4, stream_len: int = 10_000,
+def compare(netlist: Netlist, target_a: WordStats, target_b: WordStats,
+            threshold: float = RARE_THRESHOLD, stream_len: int = 10_000,
             seed: int = 1) -> RareNetReport:
     """Estimate, then simulate under matching stimulus, and score the error."""
     # operand B draws from the next seed, so the two streams are independent
-    return score(netlist, generate(stats_a, stream_len, seed),
-                 generate(stats_b, stream_len, seed + 1), threshold)[0]
+    return score(netlist, generate(target_a, stream_len, seed),
+                 generate(target_b, stream_len, seed + 1), threshold)[0]
 
 
 # -------------------------------------------------------------------- sweep

@@ -200,10 +200,15 @@ def simulate(netlist: Netlist, a: StimulusStream, b: StimulusStream) -> TogglePr
     return ToggleProfile(vectors=vectors, toggles=toggles)
 
 
+# With V vectors no threshold below 1/(V - 1) is resolved; at 10,000
+# vectors this default selects exactly the nets that never toggle.
+RARE_THRESHOLD = 1e-4
+
+
 def rare_nets(profile: ToggleProfile, threshold: float) -> frozenset[int]:
     """Nets whose transition probability is at or below the threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not 0.0 <= threshold <= 1.0:  # a NaN fails this too
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
     return frozenset(
         net for net in profile.toggles
         if profile.probability(net) <= threshold

@@ -57,20 +57,17 @@ class Breakpoints:
 
     bp0: int
     bp1: int
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
 class BitProfile:
-    """Per-bit signal probability, transition activity and lag-1 correlation."""
+    """Per-bit signal probability and transition activity, LSB first."""
 
     probs: tuple[float, ...]
     activities: tuple[float, ...]
-    correlations: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.probs)
-        if len(self.activities) != n or len(self.correlations) != n:
+        if len(self.activities) != len(self.probs):
             raise ValueError("profile vectors must have identical length")
 
 
@@ -101,15 +98,12 @@ def breakpoints(stats: WordStats) -> Breakpoints:
 
     BP0 = nint(log2(2*sigma*(1 - rho_msb))), BP1 = nint(log2(6*sigma*sqrt(1 - rho_msb))),
     both clamped into [0, N-1] with bp0 <= bp1 enforced.  A zero-variance or
-    perfectly-correlated signal has no meaningful regions and is flagged
-    degenerate with bp0 = bp1 = 0.
+    perfectly-correlated signal has no meaningful regions: bp0 = bp1 = 0.
     """
     n = stats.bit_width
-    if stats.std_dev == 0.0:
-        return Breakpoints(0, 0, degenerate=True)
     rm = rho_msb(stats.rho)
-    if rm >= 1.0:
-        return Breakpoints(0, 0, degenerate=True)
+    if stats.std_dev == 0.0 or rm >= 1.0:
+        return Breakpoints(0, 0)
     bp0_raw = nint(math.log2(2.0 * stats.std_dev * (1.0 - rm)))
     bp1_raw = nint(math.log2(6.0 * stats.std_dev * math.sqrt(1.0 - rm)))
     bp0 = min(max(bp0_raw, 0), n - 1)
@@ -118,32 +112,16 @@ def breakpoints(stats: WordStats) -> Breakpoints:
     return Breakpoints(bp0, bp1)
 
 
-def combined_breakpoints(a: WordStats | Breakpoints,
-                         b: WordStats | Breakpoints) -> Breakpoints:
-    """Two-operand region bounds: min of the BP0s, max of the BP1s."""
-    ba = a if isinstance(a, Breakpoints) else breakpoints(a)
-    bb = b if isinstance(b, Breakpoints) else breakpoints(b)
-    return Breakpoints(
-        min(ba.bp0, bb.bp0),
-        max(ba.bp1, bb.bp1),
-        degenerate=ba.degenerate or bb.degenerate,
-    )
-
-
 def theoretical_bit_profile(stats: WordStats) -> BitProfile:
     """Model-predicted per-bit profile under the zero-mean Gaussian assumption.
 
     Activities are 0.5 up to BP0, ramp linearly to the sign-bit activity
     across the transition region, and sit at alpha_msb from BP1 upward.
-    Correlations mirror that shape (0, ramp, rho_msb).
     """
     n = stats.bit_width
     bp = breakpoints(stats)
     am = alpha_msb(stats.rho)
-    rm = rho_msb(stats.rho)
-    probs = [0.5] * n
     acts = []
-    corrs = []
     for i in range(n):
         if i <= bp.bp0:
             acts.append(0.5)
@@ -151,13 +129,7 @@ def theoretical_bit_profile(stats: WordStats) -> BitProfile:
             acts.append(0.5 + (am - 0.5) * (i - bp.bp0) / (bp.bp1 - bp.bp0))
         else:
             acts.append(am)
-        if i < bp.bp0:
-            corrs.append(0.0)
-        elif bp.bp1 > bp.bp0 and i <= bp.bp1 - 1:
-            corrs.append(rm * (i - bp.bp0 + 1) / (bp.bp1 - bp.bp0))
-        else:
-            corrs.append(rm)
-    return BitProfile(tuple(probs), tuple(acts), tuple(corrs))
+    return BitProfile((0.5,) * n, tuple(acts))
 
 
 def empirical_word_stats(stream: "StimulusStream") -> WordStats:
@@ -184,16 +156,8 @@ def empirical_bit_profile(stream: "StimulusStream") -> BitProfile:
     u = x & ((1 << n) - 1)
     probs = []
     acts = []
-    corrs = []
     for i in range(n):
         bits = ((u >> i) & 1).astype(np.float64)
         probs.append(float(np.mean(bits)))
         acts.append(float(np.count_nonzero(bits[1:] != bits[:-1]) / (bits.size - 1)))
-        d = bits - bits.mean()
-        denom = math.sqrt(float(np.dot(d[:-1], d[:-1])) * float(np.dot(d[1:], d[1:])))
-        if denom == 0.0:
-            corrs.append(1.0)
-        else:
-            r = float(np.dot(d[:-1], d[1:])) / denom
-            corrs.append(min(1.0, max(-1.0, r)))
-    return BitProfile(tuple(probs), tuple(acts), tuple(corrs))
+    return BitProfile(tuple(probs), tuple(acts))

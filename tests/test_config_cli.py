@@ -1,11 +1,13 @@
 import csv
 import filecmp
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import rarenet
 from rarenet.archlib import build_architecture
 from rarenet import cli
 from rarenet.cli import main
@@ -18,8 +20,10 @@ from rarenet.config import (
     parse,
     save_config,
 )
-from rarenet.estimate import compare, sweep_bp1, write_report_csv
+from rarenet.estimate import (compare, estimate_rare_nets, sweep_bp1,
+                              write_report_csv)
 from rarenet.netlist import load_netlist
+from rarenet.simulate import RARE_THRESHOLD
 from rarenet.stimulus import load_stream
 
 from conftest import ADDERS, MULTS, mutations
@@ -53,7 +57,7 @@ def test_config_parse_accepts_comments_and_blanks():
     cfg = parse("# experiment\n\narchitectures = RCA:16\nvectors = 50\n")
     assert cfg.architectures == (("RCA", 16),)
     assert cfg.vectors == 50
-    assert cfg.thresholds == (1e-6,)
+    assert cfg.thresholds == (RARE_THRESHOLD,)
 
 
 def test_config_parse_rejects_bad_input():
@@ -289,10 +293,12 @@ def test_cli_locate_no_sim(capsys):
     assert "simulated rare nets" not in capsys.readouterr().out
 
 
-# One operating point per supported kind and width (sigma = 2^(w/2),
-# rho = 0.99) for the two commands that estimate without simulating.
+# One operating point per supported kind and width (rho = 0.99) for the
+# two commands that estimate without simulating.  sigma = 2^(w/2), except
+# at width 4, where sigma = 2 keeps mean +/- 3 sigma inside -8..7.
 ESTIMATE_PATH_COMMANDS = [
-    [command, "--arch", f"{kind}:{width}", "--std", str(2 ** (width // 2)),
+    [command, "--arch", f"{kind}:{width}",
+     "--std", str(2 if width == 4 else 2 ** (width // 2)),
      "--rho", "0.99", *extra]
     for kind in ADDERS + MULTS
     for width in ((4, 8, 16, 32) if kind in ADDERS else (4, 8, 16))
@@ -302,25 +308,46 @@ ESTIMATE_PATH_COMMANDS = [
 
 def test_cli_estimate_and_locate_no_sim_match_golden(capsys):
     """Each command line, then its stdout, equals its chunk of the golden
-    transcript; a point whose mean +/- 3 sigma does not fit exits 2."""
+    transcript."""
     golden = Path(__file__).parent / "data" / "estimate_paths.txt"
     chunks = re.split(r"(?m)^(?=\$ )", golden.read_text())[1:]
     assert len(chunks) == len(ESTIMATE_PATH_COMMANDS)
-    rejected = []
     for argv, chunk in zip(ESTIMATE_PATH_COMMANDS, chunks):
-        line = "$ rarenet " + " ".join(argv) + "\n"
-        assert chunk.startswith(line)
         rc = main(argv)
+        line = "$ rarenet " + " ".join(argv) + "\n"
+        assert (rc, line + capsys.readouterr().out) == (0, chunk)
+
+
+# The commands that simulate and take --threshold, --vectors and --seed.
+SIM_COMMANDS = {
+    "compare": ["compare", "--arch", "RCA:8", "--std", "16", "--rho", "0.9"],
+    "sweep": ["sweep", "--arch", "RCA:8", "--rho", "0.9", "--bp1", "4"],
+    "locate": ["locate", "--arch", "RCA:8", "--std", "16", "--rho", "0.9"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIM_COMMANDS))
+def test_cli_rejects_threshold_outside_unit_interval(command, capsys):
+    argv = SIM_COMMANDS[command] + ["--vectors", "300"]
+    for bad in ("nan", "inf", "-1", "1.5"):
+        assert main(argv + ["--threshold", bad]) == 2, bad
         out, err = capsys.readouterr()
-        if rc == 2:
-            assert out == "" and "exceeds the 4-bit range" in err
-            rejected.append(argv[2])
-        else:
-            assert (rc, line + out) == (0, chunk)
-    # only the 4-bit points are out of range (3 sigma = 12 > 7); their
-    # golden chunks hold the answers printed before the range check
-    assert rejected == [argv[2] for argv in ESTIMATE_PATH_COMMANDS
-                        if argv[2].endswith(":4")]
+        assert out == "" and "outside [0, 1]" in err, bad
+    for edge in ("0", "1"):
+        assert main(argv + ["--threshold", edge]) == 0, edge
+    capsys.readouterr()
+
+
+def test_rare_threshold_has_one_default():
+    parser = cli._build_parser()
+    for argv in SIM_COMMANDS.values():
+        assert parser.parse_args(argv).threshold == RARE_THRESHOLD
+    cfg = ExperimentConfig(architectures=(("RCA", 8),))
+    assert cfg.thresholds == (RARE_THRESHOLD,)
+    for fn in (compare, estimate_rare_nets):
+        default = inspect.signature(fn).parameters["threshold"].default
+        assert default == RARE_THRESHOLD
+    assert all(hasattr(rarenet, name) for name in rarenet.__all__)
 
 
 def test_cli_estimate_paths_check_the_range(capsys):

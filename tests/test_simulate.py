@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import itertools
+import math
 import sys
 import tracemalloc
 
@@ -176,8 +177,9 @@ def test_rare_net_threshold_boundary():
     assert rare_nets(prof, 0.1) == {0, 1}
     assert rare_nets(prof, 0.0) == {0}
     assert rare_nets(prof, 1.0) == {0, 1, 2, 3}
-    with pytest.raises(ValueError):
-        rare_nets(prof, -0.1)
+    for bad in (-0.1, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            rare_nets(prof, bad)
 
 
 def test_simulate_validates_inputs(netlist_of):

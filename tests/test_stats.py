@@ -9,7 +9,6 @@ from rarenet.stats import (
     WordStats,
     alpha_msb,
     breakpoints,
-    combined_breakpoints,
     empirical_bit_profile,
     empirical_word_stats,
     nint,
@@ -68,7 +67,6 @@ def test_activity_decreases_with_correlation(rho, step):
 def test_breakpoint_fixture_sigma_1024():
     bp = breakpoints(WordStats(0.0, 1024.0, 0.99, 16))
     assert (bp.bp0, bp.bp1) == (8, 11)
-    assert not bp.degenerate
 
 
 def test_breakpoints_clamped_to_word():
@@ -79,8 +77,8 @@ def test_breakpoints_clamped_to_word():
 
 
 def test_breakpoints_degenerate_cases():
-    assert breakpoints(WordStats(0.0, 0.0, 0.5, 16)).degenerate
-    assert breakpoints(WordStats(0.0, 100.0, 1.0, 16)).degenerate
+    assert breakpoints(WordStats(0.0, 0.0, 0.5, 16)) == Breakpoints(0, 0)
+    assert breakpoints(WordStats(0.0, 100.0, 1.0, 16)) == Breakpoints(0, 0)
 
 
 @given(st.floats(min_value=1.0, max_value=1e6),
@@ -88,15 +86,6 @@ def test_breakpoints_degenerate_cases():
 def test_breakpoints_ordered_and_in_range(sigma, rho):
     bp = breakpoints(WordStats(0.0, sigma, rho, 16))
     assert 0 <= bp.bp0 <= bp.bp1 <= 15
-
-
-def test_combined_breakpoints_widest_region():
-    a = Breakpoints(4, 9)
-    b = Breakpoints(6, 7)
-    assert combined_breakpoints(a, b) == Breakpoints(4, 9)
-    # WordStats arguments are accepted too
-    s = WordStats(0.0, 1024.0, 0.99, 16)
-    assert combined_breakpoints(s, s) == breakpoints(s)
 
 
 def test_theoretical_profile_shape():
@@ -112,8 +101,6 @@ def test_theoretical_profile_shape():
     # ramp is strictly decreasing between the boundaries
     ramp = prof.activities[bp.bp0:bp.bp1 + 1]
     assert all(x > y for x, y in zip(ramp, ramp[1:]))
-    assert prof.correlations[0] == 0.0
-    assert prof.correlations[15] == pytest.approx(rho_msb(stats.rho))
 
 
 def test_empirical_word_stats_matches_numpy():
@@ -147,7 +134,6 @@ def test_empirical_bit_profile_known_patterns():
     assert prof.activities[0] == pytest.approx(1.0)
     assert prof.probs[0] == pytest.approx(0.5)
     assert prof.activities[7] == 0.0
-    assert prof.correlations[7] == 1.0  # constant bit convention
 
 
 def test_word_stats_validation():
