@@ -52,8 +52,6 @@ def test_adder_boundary_combines_pessimistically(netlist_of):
     nl = netlist_of("CLA", 16)
     bp = effective_slice_start(nl, Breakpoints(4, 9), Breakpoints(6, 12))
     assert (bp.bp0, bp.bp1) == (4, 12)
-    bp = effective_slice_start(nl, Breakpoints(4, 9), Breakpoints(6, 7))
-    assert (bp.bp0, bp.bp1) == (4, 9)
 
 
 def test_multiplier_boundary_sums_and_clamps(netlist_of):

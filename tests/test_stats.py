@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rarenet.estimate import effective_slice_start
 from rarenet.stats import (
     Breakpoints,
     WordStats,
@@ -86,6 +87,17 @@ def test_breakpoints_degenerate_cases():
 def test_breakpoints_ordered_and_in_range(sigma, rho):
     bp = breakpoints(WordStats(0.0, sigma, rho, 16))
     assert 0 <= bp.bp0 <= bp.bp1 <= 15
+
+
+def test_combined_breakpoints_widest_region(netlist_of):
+    # an adder's output boundary is the widest region of its operands'
+    nl = netlist_of("RCA", 16)
+    a = Breakpoints(4, 9)
+    b = Breakpoints(6, 7)
+    assert effective_slice_start(nl, a, b) == Breakpoints(4, 9)
+    assert effective_slice_start(nl, b, a) == Breakpoints(4, 9)
+    s = WordStats(0.0, 1024.0, 0.99, 16)
+    assert effective_slice_start(nl, breakpoints(s), breakpoints(s)) == breakpoints(s)
 
 
 def test_theoretical_profile_shape():
