@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_stats_args(p)
     _add_sim_args(p)
     p.add_argument("--no-sim", action="store_true",
-                   help="estimation only, skip simulation")
+                   help="skip simulation; --vectors and --seed are ignored")
 
     p = sub.add_parser("replicate", help="run the full batch from a config")
     p.add_argument("--config", required=True)

@@ -22,7 +22,8 @@ import csv
 from dataclasses import dataclass, field, replace
 
 from .netlist import Netlist
-from .simulate import RARE_THRESHOLD, ToggleProfile, rare_nets, simulate
+from .simulate import (RARE_THRESHOLD, ToggleProfile, check_threshold,
+                       rare_nets, simulate)
 from .stats import Breakpoints, WordStats, breakpoints, rho_msb
 from .stimulus import StimulusStream, generate, quantise, unit_chain
 
@@ -72,6 +73,7 @@ def effective_slice_start(netlist: Netlist, bp_a: Breakpoints,
 def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints, bp_b: Breakpoints,
                        threshold: float = RARE_THRESHOLD) -> RareNetReport:
     """Predict the rare-net set of a module from operand breakpoints."""
+    check_threshold(threshold)  # every path estimates before it simulates
     bp = effective_slice_start(netlist, bp_a, bp_b)
     if not 0 <= bp.bp1 < netlist.output_width:
         raise ValueError(f"bp1 {bp.bp1} outside output width")

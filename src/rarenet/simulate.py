@@ -1,19 +1,22 @@
 """Bit-parallel gate-level simulation and switching-activity extraction.
 
-Each net's waveform is packed 64 vectors to a little-endian `uint64` word:
-vector t is bit t % 64 of word t // 64.  Operand words are unpacked into
-per-bit waveforms (two's complement), and the netlist is evaluated gate by
-gate in topological order, one numpy bitwise ufunc per gate over a whole
-row of words.  A net's activity is the count of value transitions between
-consecutive vectors, taken as the popcount of the row XOR-ed with itself
-shifted by one vector.  Only functional transitions are counted; there is
-no timing or glitch model.
+Each net's waveform is packed 64 vectors to a little-endian `uint64` word,
+strided: in a chunk of n vectors in W = ceil(n / 64) words, vector j*W + i
+is bit j of word i, and vectors past n repeat vector n - 1, adding no
+transitions.  Operand words are unpacked into per-bit waveforms (two's
+complement), and the netlist is evaluated gate by gate in topological
+order, one numpy bitwise ufunc per gate over a whole row of words.  A
+net's activity is the count of value transitions between consecutive
+vectors: a vector's predecessor is the same bit of the word before (for
+word 0, one bit lower in word W-1), so the census is a popcount of
+neighbouring words XOR-ed.  Only functional transitions are counted;
+there is no timing or glitch model.
 
-Vectors are processed in chunks of `CHUNK_WORDS` words into one
-(nets x chunk) buffer that every chunk reuses, net k in row k, and each
-net's last vector is carried into the next chunk's census.  Peak memory
-is therefore set by the netlist size and the chunk size, not by the
-vector count (`evaluate`, which returns whole waveforms, is the
+Vectors are processed in chunks of `CHUNK_WORDS` words into one buffer
+that every chunk reuses as a C-contiguous (nets x W) array, net k in row
+k, and each net's last vector is carried into the next chunk's census.
+Peak memory is therefore set by the netlist size and the chunk size, not
+by the vector count (`evaluate`, which returns whole waveforms, is the
 exception).
 
 Control pins without an operand mapping (the adder carry-in) are tied low,
@@ -34,7 +37,7 @@ from .netlist import Netlist, operand_bit
 from .stimulus import StimulusStream
 
 CHUNK_WORDS = 1024  # 65,536 vectors per chunk
-_CENSUS_ROWS = 16   # nets per block of the toggle census
+_CENSUS_WORDS = 30_000  # words per census block; 9 bytes of temporaries a word
 _WORD = np.dtype("<u8")
 
 # gate kind -> (ufunc on packed words, invert its result)
@@ -89,43 +92,43 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
 def _chunks(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     """Evaluate the netlist chunk by chunk.
 
-    Yields `(values, vectors)`: `values` is a (nets x words) packed view
-    whose row k holds net k over `vectors` vectors; bits past them in the
-    last word are undefined.  The view is overwritten by the next chunk.
+    Yields `(values, start, stop)`: `values` is the (nets x W) array of
+    vectors start..stop-1 in the strided layout, row k net k; the next
+    chunk overwrites it.
     """
     if a.bit_width != netlist.width or b.bit_width != netlist.width:
         raise ValueError("stream width does not match netlist operand width")
     if len(a.words) != len(b.words):
         raise ValueError("operand streams must have equal length")
-    operands = {"a": np.ascontiguousarray(a.words, "<i8"),
-                "b": np.ascontiguousarray(b.words, "<i8")}
     nbytes = -(-netlist.width // 8)
-    sources = []  # control pins are never written, so they stay low
-    for net in netlist.primary_inputs:
-        pin = operand_bit(netlist.net_names[net])
-        if pin is not None:
-            sources.append((net, pin[0], pin[1]))
+    # operands[name][t][k] is byte k of word t
+    operands = {name: np.ascontiguousarray(s.words, "<i8").view(np.uint8)
+                .reshape(-1, 8)[:, :nbytes] for name, s in (("a", a), ("b", b))}
+    sources = [(net, *pin) for net in netlist.primary_inputs
+               if (pin := operand_bit(netlist.net_names[net])) is not None]
     program = [(*_GATES[gate.kind], gate.inputs, net)
                for net, gate in zip(netlist.gate_nets, netlist.gates)]
 
+    nets = len(netlist.net_names)
     total = len(a.words)
     step = CHUNK_WORDS * 64
-    buf = np.zeros((len(netlist.net_names), min(CHUNK_WORDS, -(-total // 64))),
-                   _WORD)
+    buf = np.empty(nets * min(CHUNK_WORDS, -(-total // 64)), _WORD)
     for start in range(0, total, step):
         stop = min(start + step, total)
-        values = buf[:, :-(-(stop - start) // 64)]
+        nwords = -(-(stop - start) // 64)
+        values = buf[:nets * nwords].reshape(nets, nwords)
+        # rows move when W changes, so tie the control pins low every chunk
+        values[:len(netlist.primary_inputs)] = 0
         view = list(values)
-        # byte planes: planes[name][j][t] is byte j of operand word t
-        planes = {
-            name: np.ascontiguousarray(
-                words[start:stop].view(np.uint8).reshape(-1, 8)[:, :nbytes].T)
-            for name, words in operands.items()
-        }
+        planes = {}  # planes[name][k][i][j] is byte k of vector j*W + i
+        for name, v in operands.items():
+            p = np.empty((nbytes, 64 * nwords), np.uint8)
+            p[:, :stop - start] = v[start:stop].T
+            p[:, stop - start:] = v[stop - 1, :, None]  # repeat the last vector
+            planes[name] = p.reshape(nbytes, 64, nwords).transpose(0, 2, 1).copy()
         for net, name, bit in sources:
-            packed = np.packbits((planes[name][bit >> 3] >> (bit & 7)) & 1,
-                                 bitorder="little")
-            view[net].view(np.uint8)[:packed.size] = packed
+            view[net].view(np.uint8)[:] = np.packbits(
+                (planes[name][bit >> 3] >> (bit & 7)) & 1, bitorder="little")
         for op, invert, ins, out in program:
             dst = view[out]
             if len(ins) == 2:
@@ -134,7 +137,7 @@ def _chunks(netlist: Netlist, a: StimulusStream, b: StimulusStream):
                 op(view[ins[0]], out=dst)
             if invert:
                 np.invert(dst, out=dst)
-        yield values, stop - start
+        yield values, start, stop
 
 
 def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
@@ -144,45 +147,35 @@ def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     per vector; it is meant for checking the simulator, not for census runs.
     """
     waves = np.empty((len(netlist.net_names), len(a.words)), np.uint8)
-    start = 0
-    for values, n in _chunks(netlist, a, b):
-        waves[:, start:start + n] = np.unpackbits(
-            values.view(np.uint8), axis=1, count=n, bitorder="little")
-        start += n
+    for values, start, stop in _chunks(netlist, a, b):
+        bits = np.unpackbits(values.view(np.uint8).reshape(len(values), -1, 8),
+                             axis=2, bitorder="little").transpose(0, 2, 1)
+        waves[:, start:stop] = bits.reshape(len(values), -1)[:, :stop - start]
     return dict(enumerate(waves))
 
 
-def _count_toggles(values, vectors: int, first: bool, carry, counts) -> None:
+def _count_toggles(values, first: bool, carry, counts) -> None:
     """Add one chunk's transitions per row to `counts`.
 
-    `carry` holds each row's last vector of the previous chunk (as bit 0)
-    and is updated to this chunk's last vector.  Vector 0 of the first
-    chunk has no predecessor and bits past `vectors` are padding; both are
-    masked out.
+    `carry` holds each row's last vector of the previous chunk (as bit 0),
+    the predecessor of vector 0, and is updated to this chunk's.
     """
     nrows, nwords = values.shape
-    tail = vectors - 64 * (nwords - 1)
-    tail_mask = _WORD.type((1 << tail) - 1)
-    block = min(_CENSUS_ROWS, nrows)
+    wrap = (values[:, -1] << 1 | carry) ^ values[:, 0]
+    wrap &= ~_WORD.type(first)  # clears bit 0 on the first chunk
+    np.right_shift(values[:, -1], 63, out=carry)
+    block = max(1, _CENSUS_WORDS // nwords)
     diff = np.empty((block, nwords), _WORD)
-    prev = np.empty((block, nwords), _WORD)
     pop = np.empty((block, nwords), np.uint8)
     for r in range(0, nrows, block):
-        x = values[r:r + block]
-        m = x.shape[0]
-        d, p, c = diff[:m], prev[:m], pop[:m]
-        # p holds, at each bit, the value of the vector before it
-        np.right_shift(x[:, :-1], 63, out=p[:, 1:])
-        p[:, 0] = carry[r:r + m]
-        np.left_shift(x, 1, out=d)
-        np.bitwise_or(d, p, out=d)
-        np.bitwise_xor(d, x, out=d)
-        if first:
-            d[:, 0] &= ~_WORD.type(1)
-        d[:, -1] &= tail_mask
+        x = values[r:r + block].reshape(-1)
+        m = len(x) // nwords
+        d, c = diff[:m], pop[:m]
+        # across a row boundary this pairs two rows; the wrap term replaces it
+        np.bitwise_xor(x[1:], x[:-1], out=d.reshape(-1)[1:])
+        d[:, 0] = wrap[r:r + m]
         np.bitwise_count(d, out=c)
-        counts[r:r + m] += c.sum(axis=1, dtype=np.int64)
-        np.right_shift(x[:, -1], 63, out=carry[r:r + m])
+        counts[r:r + m] += c.sum(axis=1, dtype=np.uint32)
 
 
 def simulate(netlist: Netlist, a: StimulusStream, b: StimulusStream) -> ToggleProfile:
@@ -192,8 +185,8 @@ def simulate(netlist: Netlist, a: StimulusStream, b: StimulusStream) -> TogglePr
         raise ValueError("need at least two vectors to count transitions")
     counts = np.zeros(len(netlist.net_names), np.int64)
     carry = np.zeros(len(netlist.net_names), _WORD)
-    for k, (values, n) in enumerate(_chunks(netlist, a, b)):
-        _count_toggles(values, n, k == 0, carry, counts)
+    for values, start, _ in _chunks(netlist, a, b):
+        _count_toggles(values, start == 0, carry, counts)
     dead = constant_nets(netlist)
     toggles = {net: count for net, count in enumerate(counts.tolist())
                if net not in dead}
@@ -205,10 +198,15 @@ def simulate(netlist: Netlist, a: StimulusStream, b: StimulusStream) -> TogglePr
 RARE_THRESHOLD = 1e-4
 
 
-def rare_nets(profile: ToggleProfile, threshold: float) -> frozenset[int]:
-    """Nets whose transition probability is at or below the threshold."""
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless the rare-net threshold is in [0, 1]."""
     if not 0.0 <= threshold <= 1.0:  # a NaN fails this too
         raise ValueError(f"threshold {threshold} outside [0, 1]")
+
+
+def rare_nets(profile: ToggleProfile, threshold: float) -> frozenset[int]:
+    """Nets whose transition probability is at or below the threshold."""
+    check_threshold(threshold)
     return frozenset(
         net for net in profile.toggles
         if profile.probability(net) <= threshold

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -326,9 +327,11 @@ SIM_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SIM_COMMANDS))
+# locate --no-sim ignores --vectors and --seed but still checks --threshold
+@pytest.mark.parametrize("command", [*sorted(SIM_COMMANDS), "locate-no-sim"])
 def test_cli_rejects_threshold_outside_unit_interval(command, capsys):
-    argv = SIM_COMMANDS[command] + ["--vectors", "300"]
+    argv = (SIM_COMMANDS["locate"] + ["--no-sim"] if command == "locate-no-sim"
+            else SIM_COMMANDS[command]) + ["--vectors", "300"]
     for bad in ("nan", "inf", "-1", "1.5"):
         assert main(argv + ["--threshold", bad]) == 2, bad
         out, err = capsys.readouterr()
@@ -336,6 +339,19 @@ def test_cli_rejects_threshold_outside_unit_interval(command, capsys):
     for edge in ("0", "1"):
         assert main(argv + ["--threshold", edge]) == 0, edge
     capsys.readouterr()
+
+
+def test_cli_bad_threshold_fails_before_simulating(capsys, monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("simulated under a threshold outside [0, 1]")
+
+    monkeypatch.setattr(sys.modules["rarenet.estimate"], "simulate",
+                        no_simulation)
+    argv = ["compare", "--arch", "VEDIC:16", "--std", "300", "--rho", "0.99",
+            "--vectors", "1000000", "--threshold", "nan"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "threshold nan outside [0, 1]" in err
 
 
 def test_rare_threshold_has_one_default():

@@ -73,27 +73,34 @@ def test_waveforms_match_reference_width_4(kind, netlist_of):
         assert as_int(wave) == ref[net], nl.net_names[net]
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_waveforms_match_reference_width_8_random(kind, netlist_of):
+# 500 vectors fill 8 words per row, the last one padded
+@pytest.mark.parametrize("kind,vectors",
+                         [*((kind, 300) for kind in ALL_KINDS), ("BOOTH", 500)],
+                         ids=[*ALL_KINDS, "BOOTH-500"])
+def test_waveforms_match_reference_width_8_random(kind, vectors, netlist_of):
     nl = netlist_of(kind, 8)
     rng = np.random.default_rng(17)
-    a = rng.integers(-128, 128, 300)
-    b = rng.integers(-128, 128, 300)
+    a = rng.integers(-128, 128, vectors)
+    b = rng.integers(-128, 128, vectors)
     got = evaluate(nl, make_stream(a, 8), make_stream(b, 8))
     ref = bigint_reference(nl, a, b)
     for net, wave in got.items():
         assert as_int(wave) == ref[net]
 
 
-def test_toggle_counts_hand_cases(netlist_of):
+# 65,666 vectors: a second chunk of three words, the last one padded
+@pytest.mark.parametrize("vectors", [10, 65_536 + 130])
+def test_toggle_counts_hand_cases(vectors, netlist_of):
     nl = netlist_of("RCA", 4)
     # constant inputs: nothing toggles
-    prof = simulate(nl, make_stream([5] * 10, 4), make_stream([2] * 10, 4))
+    prof = simulate(nl, make_stream([5] * vectors, 4),
+                    make_stream([2] * vectors, 4))
     assert all(t == 0 for t in prof.toggles.values())
     # LSB alternates every vector: the bit-0 sum net toggles every cycle
-    prof = simulate(nl, make_stream([0, 1] * 5, 4), make_stream([0] * 10, 4))
+    prof = simulate(nl, make_stream([0, 1] * (vectors // 2), 4),
+                    make_stream([0] * vectors, 4))
     s0 = nl.primary_outputs[0]
-    assert prof.toggles[s0] == 9
+    assert prof.toggles[s0] == vectors - 1
     assert prof.probability(s0) == 1.0
 
 
@@ -120,10 +127,16 @@ def test_toggle_count_matches_reference(kind, vectors, netlist_of):
     assert_toggles_match_reference(netlist_of(kind, 8), vectors)
 
 
-def test_toggle_count_matches_reference_across_chunks(netlist_of):
-    # one vector past the first chunk: the census carries into a chunk of one
+# one vector past the first chunk: the census carries into a chunk of one
+# vector; 130 past it: a last chunk of three words, the last one padded;
+# exactly two chunks: no padding, and the carry meets a full chunk
+@pytest.mark.parametrize("kind,vectors", [
+    ("RCA", 65_537), ("RCA", 65_536 + 130), ("ARRAY", 65_536 + 130),
+    ("RCA", 131_072)])
+def test_toggle_count_matches_reference_across_chunks(kind, vectors,
+                                                      netlist_of):
     assert CHUNK_WORDS * 64 == 65_536
-    assert_toggles_match_reference(netlist_of("RCA", 4), 65_537)
+    assert_toggles_match_reference(netlist_of(kind, 4), vectors)
 
 
 def test_one_word_chunks_match_reference(netlist_of, monkeypatch):
