@@ -18,9 +18,11 @@ from .archlib import build_architecture
 from .config import (ConfigError, ExperimentConfig, default_bp1_targets,
                      load_config, parse_arch)
 from .estimate import (SweepPoint, SweepResult, compare, estimate_rare_nets,
-                       operating_points, score, sweep_bp1, write_report_csv)
+                       operating_points, score_points, sweep_bp1,
+                       write_report_csv)
 from .netlist import NetlistError, load_netlist, save_netlist
-from .simulate import RARE_THRESHOLD, export_activity, simulate
+from .simulate import (RARE_THRESHOLD, PackedPoints, export_activity,
+                       pack_points, simulate)
 from .stats import WordStats, breakpoints
 from .stimulus import check_range, generate, load_stream, save_stream
 
@@ -214,6 +216,24 @@ def _cmd_locate(args) -> int:
 
 # --------------------------------------------------------------- replicate
 
+def _pack_streams(cfg: ExperimentConfig, width: int, out: Path,
+                  manifest: list[str]) -> tuple[list[int], PackedPoints]:
+    """Generate, save and pack the operating points of one operand width.
+
+    Returns their targets and packed operands; the streams themselves are
+    freed on return."""
+    targets = cfg.bp1_targets or default_bp1_targets(width)
+    points = list(operating_points(width, targets, cfg.rho_a, cfg.rho_b,
+                                   cfg.vectors, cfg.seed))
+    for t, sa, sb in points:
+        for tag, stream in (("a", sa), ("b", sb)):
+            rel = f"streams/w{width}_bp{t}_{tag}.txt"
+            save_stream(stream, out / rel)
+            manifest.append(rel)
+    return ([t for t, _, _ in points],
+            pack_points(width, [(sa, sb) for _, sa, sb in points]))
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute the full batch: netlists, streams, activity, reports.
 
@@ -235,39 +255,32 @@ def run(cfg: ExperimentConfig) -> int:
             save_netlist(netlists[(kind, width)], out / rel)
             manifest.append(rel)
 
-        # one stream pair per (width, target); shared across architectures
+        # one stream pair per (width, target), packed once and shared by the
+        # width's architectures; a width's rows are freed before the next's
         (threshold,) = cfg.thresholds
-        streams: dict[int, list[tuple]] = {}
+        summary = {}
         for width in sorted({w for _, w in cfg.architectures}):
-            targets = cfg.bp1_targets or default_bp1_targets(width)
-            streams[width] = []
-            for t, sa, sb in operating_points(width, targets, cfg.rho_a,
-                                              cfg.rho_b, cfg.vectors, cfg.seed):
-                for tag, stream in (("a", sa), ("b", sb)):
-                    rel = f"streams/w{width}_bp{t}_{tag}.txt"
-                    save_stream(stream, out / rel)
+            targets, packed = _pack_streams(cfg, width, out, manifest)
+            for kind in (k for k, w in cfg.architectures if w == width):
+                nl = netlists[(kind, width)]
+                tag = f"{kind.lower()}{width}"
+                points = []
+                for t, (rep, profile) in zip(
+                        targets, score_points(nl, packed, threshold)):
+                    rel = f"activity/{tag}_bp{t}.csv"
+                    export_activity(nl, profile, out / rel)
                     manifest.append(rel)
-                streams[width].append((t, sa, sb))
-
-        summary = ["arch,width,mean_error\n"]
-        for kind, width in cfg.architectures:
-            nl = netlists[(kind, width)]
-            points = []
-            for t, sa, sb in streams[width]:
-                rep, profile = score(nl, sa, sb, threshold)
-                rel = f"activity/{kind.lower()}{width}_bp{t}.csv"
-                export_activity(nl, profile, out / rel)
+                    points.append(SweepPoint(t, rep))
+                result = SweepResult(tuple(points))
+                rel = f"reports/sweep_{tag}.csv"
+                write_report_csv(result.reports, out / rel)
                 manifest.append(rel)
-                points.append(SweepPoint(t, rep))
-            result = SweepResult(tuple(points))
-            rel = f"reports/sweep_{kind.lower()}{width}.csv"
-            write_report_csv(result.reports, out / rel)
-            manifest.append(rel)
-            summary.append(
-                f"{kind.lower()},{width},{result.mean_error:.12f}\n")
+                summary[(kind, width)] = (
+                    f"{kind.lower()},{width},{result.mean_error:.12f}\n")
 
         rel = "reports/summary.csv"
-        (out / rel).write_text("".join(summary), newline="")
+        (out / rel).write_text("".join(["arch,width,mean_error\n", *(
+            summary[arch] for arch in cfg.architectures)]), newline="")
         manifest.append(rel)
         return 0
     except Exception as exc:  # noqa: BLE001 - report and keep partial outputs

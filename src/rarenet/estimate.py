@@ -12,8 +12,10 @@ simulated rare set (gate-output nets at or below the report's threshold)
 from a toggle profile, and the report derives the relative count error
 |simulated - estimated| / max(simulated, 1) from it; points where the
 simulation found no rare nets are kept, with the whole estimate as error.
-`operating_points` is the one sweep loop and `score` the one estimate,
-simulate and score step; `compare`, `sweep_bp1` and `cli.run` use both.
+`operating_points` is the one sweep loop and `score_points` the one
+scoring loop: it estimates every operating point of a netlist, counts
+their toggles in one census and scores each; `compare`, `sweep_bp1` and
+`cli.run` use both.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import csv
 from dataclasses import dataclass, field, replace
 
 from .netlist import Netlist
-from .simulate import (RARE_THRESHOLD, ToggleProfile, check_threshold,
-                       rare_nets, simulate)
+# `simulate` is `census` on one point; it stays bound here for callers
+# that look it up by this name
+from .simulate import (RARE_THRESHOLD, PackedPoints, ToggleProfile, census,
+                       check_threshold, pack_points, rare_nets, simulate)
 from .stats import Breakpoints, WordStats, breakpoints, rho_msb
-from .stimulus import StimulusStream, generate, quantise, unit_chain
+from .stimulus import generate, quantise, unit_chain
 
 
 @dataclass(frozen=True)
@@ -105,23 +109,26 @@ def check_report(netlist: Netlist, report: RareNetReport,
     return replace(report, simulated_nets=simulated)
 
 
-def score(netlist: Netlist, stream_a: StimulusStream, stream_b: StimulusStream,
-          threshold: float) -> tuple[RareNetReport, ToggleProfile]:
-    """Estimate from the streams' targets, simulate, and score the report."""
-    st_a = stream_a.target
-    rep = estimate_rare_nets(netlist, breakpoints(st_a),
-                             breakpoints(stream_b.target), threshold)
-    profile = simulate(netlist, stream_a, stream_b)
-    return check_report(netlist, replace(rep, stats_a=st_a), profile), profile
+def score_points(netlist: Netlist, packed: PackedPoints, threshold: float):
+    """Estimate every packed point, count their toggles in one census, and
+    yield `(report, profile)` per point, in order."""
+    reports = [replace(estimate_rare_nets(netlist, breakpoints(st_a),
+                                          breakpoints(st_b), threshold),
+                       stats_a=st_a) for st_a, st_b in packed.stats]
+    for report, profile in zip(reports, census(netlist, packed)):
+        yield check_report(netlist, report, profile), profile
 
 
 def compare(netlist: Netlist, target_a: WordStats, target_b: WordStats,
             threshold: float = RARE_THRESHOLD, stream_len: int = 10_000,
             seed: int = 1) -> RareNetReport:
     """Estimate, then simulate under matching stimulus, and score the error."""
+    check_threshold(threshold)  # before any stream is generated
     # operand B draws from the next seed, so the two streams are independent
-    return score(netlist, generate(target_a, stream_len, seed),
-                 generate(target_b, stream_len, seed + 1), threshold)[0]
+    packed = pack_points(netlist.width, [(generate(target_a, stream_len, seed),
+                                          generate(target_b, stream_len,
+                                                   seed + 1))])
+    return next(score_points(netlist, packed, threshold))[0]
 
 
 # -------------------------------------------------------------------- sweep
@@ -191,17 +198,19 @@ def sweep_bp1(netlist: Netlist, rho: float, threshold: float, bp1_targets,
     point the bit-level activity model is derived for; under it the
     estimate stays an upper bound on the simulated rare-net count for
     every supported architecture.  A target that does not fit the word
-    raises `ValueError`.
+    raises `ValueError` before anything is simulated.
     """
-    points = tuple(
-        SweepPoint(t, score(netlist, sa, sb, threshold)[0])
-        for t, sa, sb in operating_points(netlist.width, bp1_targets, rho, rho,
-                                          stream_len, seed, mean))
-    skipped = sorted(set(bp1_targets) - {p.bp1_target for p in points})
+    check_threshold(threshold)  # before any stream is generated
+    points = list(operating_points(netlist.width, bp1_targets, rho, rho,
+                                   stream_len, seed, mean))
+    skipped = sorted(set(bp1_targets) - {t for t, _, _ in points})
     if skipped:
         raise ValueError(f"bp1 targets {skipped} put mean +/- 3 sigma "
                          f"outside the {netlist.width}-bit range")
-    return SweepResult(points)
+    packed = pack_points(netlist.width, [(sa, sb) for _, sa, sb in points])
+    scored = score_points(netlist, packed, threshold)
+    return SweepResult(tuple(SweepPoint(t, rep) for (t, _, _), (rep, _)
+                             in zip(points, scored)))
 
 
 # ------------------------------------------------------------------ reports

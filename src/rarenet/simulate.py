@@ -1,22 +1,34 @@
 """Bit-parallel gate-level simulation and switching-activity extraction.
 
-Each net's waveform is packed 64 vectors to a little-endian `uint64` word,
-strided: in a chunk of n vectors in W = ceil(n / 64) words, vector j*W + i
-is bit j of word i, and vectors past n repeat vector n - 1, adding no
-transitions.  Operand words are unpacked into per-bit waveforms (two's
-complement), and the netlist is evaluated gate by gate in topological
-order, one numpy bitwise ufunc per gate over a whole row of words.  A
-net's activity is the count of value transitions between consecutive
-vectors: a vector's predecessor is the same bit of the word before (for
-word 0, one bit lower in word W-1), so the census is a popcount of
-neighbouring words XOR-ed.  Only functional transitions are counted;
-there is no timing or glitch model.
+A census simulates one netlist under a list of operating points, each a
+pair of equal-length operand streams, and counts every net's value
+transitions at each point.  Each net's waveform is packed 64 vectors to a
+little-endian `uint64` word.  Point p takes ceil(n_p / 64) words, the
+points' words are laid end to end, and the concatenation is cut into
+chunks of `CHUNK_WORDS` words.  A chunk holds one or more *pieces*; a
+piece is one point's contiguous run of n vectors, strided over its own
+W = ceil(n / 64) words: vector j*W + i of the piece is bit j of its word
+i, and vectors past the point's last one repeat it, adding no
+transitions.  A point that does not fit the rest of a chunk goes on as a
+piece of the next.
 
-Vectors are processed in chunks of `CHUNK_WORDS` words into one buffer
-that every chunk reuses as a C-contiguous (nets x W) array, net k in row
-k, and each net's last vector is carried into the next chunk's census.
-Peak memory is therefore set by the netlist size and the chunk size, not
-by the vector count (`evaluate`, which returns whole waveforms, is the
+`pack_points` unpacks the operand words into per-bit waveforms (two's
+complement) in that layout once; they depend on the streams alone, so
+one packing serves every netlist of the operand width.  The netlist is
+evaluated gate by gate in topological order, one numpy bitwise ufunc per
+gate over a whole row of a chunk.  A vector's predecessor is the same bit
+of the word before it in its piece; for a piece's first word it is one
+bit lower in the piece's last word, and bit 0 takes the point's previous
+vector carried from the chunk before.  So the census is a popcount of
+neighbouring words XOR-ed, with one wrap term per piece, summed per
+piece.  Only functional transitions are counted; there is no timing or
+glitch model.
+
+Every chunk reuses one buffer as a C-contiguous (nets x words) array, net
+k in row k, so the census's working memory is set by the netlist size and
+the chunk size, not by the vector or point count.  The packed operand
+rows hold 2 x width bits a vector, no more than the 64-bit stream words
+they are made from (`evaluate`, which returns whole waveforms, is the
 exception).
 
 Control pins without an operand mapping (the adder carry-in) are tied low,
@@ -29,11 +41,12 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .netlist import Netlist, operand_bit
+from .stats import WordStats
 from .stimulus import StimulusStream
 
 CHUNK_WORDS = 1024  # 65,536 vectors per chunk
@@ -89,46 +102,111 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
     return frozenset(const)
 
 
-def _chunks(netlist: Netlist, a: StimulusStream, b: StimulusStream):
-    """Evaluate the netlist chunk by chunk.
+class Chunk(NamedTuple):
+    """Words lo..hi-1 of the packed points, cut into pieces.
 
-    Yields `(values, start, stop)`: `values` is the (nets x W) array of
-    vectors start..stop-1 in the strided layout, row k net k; the next
-    chunk overwrites it.
+    Piece k starts at word `offsets[k]` of the chunk and runs to the next
+    piece; it holds vectors `starts[k]`.. of point `points[k]`.
     """
-    if a.bit_width != netlist.width or b.bit_width != netlist.width:
-        raise ValueError("stream width does not match netlist operand width")
-    if len(a.words) != len(b.words):
+
+    lo: int
+    hi: int
+    points: np.ndarray
+    offsets: np.ndarray
+    starts: np.ndarray
+
+
+@dataclass(frozen=True)
+class PackedPoints:
+    """The operand bits of a list of operating points, packed for a census.
+
+    `rows[k * width + bit]` is operand k's (a, then b) bit over all
+    chunks' words.  Point p has `lengths[p]` vectors, and `stats[p]` holds
+    the target word statistics of its two streams.
+    """
+
+    width: int
+    lengths: tuple[int, ...]
+    stats: tuple[tuple[WordStats, WordStats], ...]
+    rows: np.ndarray
+    chunks: tuple[Chunk, ...]
+
+
+def pack_points(width: int, pairs) -> PackedPoints:
+    """Pack the operand stream pairs of `width`-bit operating points.
+
+    The result depends on the streams alone, so one packing serves a
+    census of every `width`-bit netlist.
+    """
+    pairs = tuple(pairs)
+    if any(s.bit_width != width for pair in pairs for s in pair):
+        raise ValueError(f"operand streams are not {width} bits wide")
+    if any(len(a.words) != len(b.words) for a, b in pairs):
         raise ValueError("operand streams must have equal length")
-    nbytes = -(-netlist.width // 8)
-    # operands[name][t][k] is byte k of word t
-    operands = {name: np.ascontiguousarray(s.words, "<i8").view(np.uint8)
-                .reshape(-1, 8)[:, :nbytes] for name, s in (("a", a), ("b", b))}
-    sources = [(net, *pin) for net in netlist.primary_inputs
-               if (pin := operand_bit(netlist.net_names[net])) is not None]
+    if any(len(a.words) < 2 for a, _ in pairs):
+        raise ValueError("need at least two vectors to count transitions")
+    nbytes = -(-width // 8)
+    lengths = tuple(len(a.words) for a, _ in pairs)
+    # first[p] is point p's first word; operands[p][k][t][i] is byte i of
+    # word t of its operand k
+    first = np.cumsum([0, *(-(-n // 64) for n in lengths)])
+    operands = [[np.ascontiguousarray(s.words, "<i8").view(np.uint8)
+                 .reshape(-1, 8)[:, :nbytes] for s in pair] for pair in pairs]
+    rows = np.empty((2 * width, first[-1]), _WORD)
+    chunks = []
+    for lo in range(0, first[-1], CHUNK_WORDS):
+        hi = min(lo + CHUNK_WORDS, first[-1])
+        points = np.arange(np.searchsorted(first, lo, "right") - 1,
+                           np.searchsorted(first, hi))
+        offsets = np.maximum(first[points], lo) - lo
+        starts = (lo + offsets - first[points]) * 64
+        # planes[k][i][o + w][j] is byte i of operand k at vector j*W + w of
+        # the piece at offset o, W words long
+        planes = np.empty((2, nbytes, hi - lo, 64), np.uint8)
+        for p, o, e, start in zip(points, offsets, [*offsets[1:], hi - lo],
+                                  starts):
+            stop = min(start + 64 * (e - o), lengths[p])
+            for k, v in enumerate(operands[p]):
+                piece = np.empty((nbytes, 64 * (e - o)), np.uint8)
+                piece[:, :stop - start] = v[start:stop].T
+                piece[:, stop - start:] = v[stop - 1, :, None]  # repeat the last
+                planes[k, :, o:e] = piece.reshape(nbytes, 64, -1).transpose(0, 2, 1)
+        for k, bit in itertools.product(range(2), range(width)):
+            rows[k * width + bit, lo:hi].view(np.uint8)[:] = np.packbits(
+                (planes[k, bit >> 3] >> (bit & 7)) & 1, bitorder="little")
+        chunks.append(Chunk(lo, hi, points, offsets, starts))
+    return PackedPoints(width, lengths,
+                        tuple((a.target, b.target) for a, b in pairs),
+                        rows, tuple(chunks))
+
+
+def _chunks(netlist: Netlist, packed: PackedPoints):
+    """Evaluate the netlist over `packed` chunk by chunk.
+
+    Yields `(values, chunk)`: `values` is the (nets x words) array of the
+    chunk's words, row k net k; the next chunk overwrites it.
+    """
+    if packed.width != netlist.width:
+        raise ValueError("stream width does not match netlist operand width")
+    nets = len(netlist.net_names)
+    sources, rows, tied = [], [], []
+    for net in netlist.primary_inputs:
+        pin = operand_bit(netlist.net_names[net])
+        if pin is None:
+            tied.append(net)
+        else:
+            sources.append(net)
+            rows.append((pin[0] == "b") * netlist.width + pin[1])
     program = [(*_GATES[gate.kind], gate.inputs, net)
                for net, gate in zip(netlist.gate_nets, netlist.gates)]
-
-    nets = len(netlist.net_names)
-    total = len(a.words)
-    step = CHUNK_WORDS * 64
-    buf = np.empty(nets * min(CHUNK_WORDS, -(-total // 64)), _WORD)
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        nwords = -(-(stop - start) // 64)
-        values = buf[:nets * nwords].reshape(nets, nwords)
-        # rows move when W changes, so tie the control pins low every chunk
-        values[:len(netlist.primary_inputs)] = 0
+    buf = np.empty(nets * max((c.hi - c.lo for c in packed.chunks), default=0),
+                   _WORD)
+    for chunk in packed.chunks:
+        values = buf[:nets * (chunk.hi - chunk.lo)].reshape(nets, -1)
+        # rows move when the chunk width changes, so tie the pins every chunk
+        values[tied] = 0
+        values[sources] = packed.rows[rows, chunk.lo:chunk.hi]
         view = list(values)
-        planes = {}  # planes[name][k][i][j] is byte k of vector j*W + i
-        for name, v in operands.items():
-            p = np.empty((nbytes, 64 * nwords), np.uint8)
-            p[:, :stop - start] = v[start:stop].T
-            p[:, stop - start:] = v[stop - 1, :, None]  # repeat the last vector
-            planes[name] = p.reshape(nbytes, 64, nwords).transpose(0, 2, 1).copy()
-        for net, name, bit in sources:
-            view[net].view(np.uint8)[:] = np.packbits(
-                (planes[name][bit >> 3] >> (bit & 7)) & 1, bitorder="little")
         for op, invert, ins, out in program:
             dst = view[out]
             if len(ins) == 2:
@@ -137,7 +215,7 @@ def _chunks(netlist: Netlist, a: StimulusStream, b: StimulusStream):
                 op(view[ins[0]], out=dst)
             if invert:
                 np.invert(dst, out=dst)
-        yield values, start, stop
+        yield values, chunk
 
 
 def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
@@ -146,51 +224,63 @@ def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     This unpacks the simulator's packed words, so it holds one byte per net
     per vector; it is meant for checking the simulator, not for census runs.
     """
+    packed = pack_points(a.bit_width, [(a, b)])
     waves = np.empty((len(netlist.net_names), len(a.words)), np.uint8)
-    for values, start, stop in _chunks(netlist, a, b):
+    for values, chunk in _chunks(netlist, packed):
+        # one point: each chunk is one piece
+        (start,) = chunk.starts
+        stop = min(start + 64 * values.shape[1], len(a.words))
         bits = np.unpackbits(values.view(np.uint8).reshape(len(values), -1, 8),
                              axis=2, bitorder="little").transpose(0, 2, 1)
         waves[:, start:stop] = bits.reshape(len(values), -1)[:, :stop - start]
     return dict(enumerate(waves))
 
 
-def _count_toggles(values, first: bool, carry, counts) -> None:
-    """Add one chunk's transitions per row to `counts`.
+def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
+    """Count per-net transitions at every packed point in one pass.
 
-    `carry` holds each row's last vector of the previous chunk (as bit 0),
-    the predecessor of vector 0, and is updated to this chunk's.
+    Returns an iterator of one `ToggleProfile` per point, in order; the
+    profiles are built as they are taken.
     """
-    nrows, nwords = values.shape
-    wrap = (values[:, -1] << 1 | carry) ^ values[:, 0]
-    wrap &= ~_WORD.type(first)  # clears bit 0 on the first chunk
-    np.right_shift(values[:, -1], 63, out=carry)
-    block = max(1, _CENSUS_WORDS // nwords)
-    diff = np.empty((block, nwords), _WORD)
-    pop = np.empty((block, nwords), np.uint8)
-    for r in range(0, nrows, block):
-        x = values[r:r + block].reshape(-1)
-        m = len(x) // nwords
-        d, c = diff[:m], pop[:m]
-        # across a row boundary this pairs two rows; the wrap term replaces it
-        np.bitwise_xor(x[1:], x[:-1], out=d.reshape(-1)[1:])
-        d[:, 0] = wrap[r:r + m]
-        np.bitwise_count(d, out=c)
-        counts[r:r + m] += c.sum(axis=1, dtype=np.uint32)
+    nets = len(netlist.net_names)
+    counts = np.zeros((len(packed.lengths), nets), np.int64)
+    # each row's last vector of the chunk before, as bit 0: the predecessor
+    # of vector 0 when the chunk's first piece goes on with the same point
+    carry = np.zeros(nets, _WORD)
+    for values, chunk in _chunks(netlist, packed):
+        nwords = values.shape[1]
+        offs = chunk.offsets
+        # per piece: vector j*W's predecessor is bit j - 1 of its last word
+        wrap = values[:, [*offs[1:] - 1, nwords - 1]] << 1
+        wrap ^= values[:, offs]
+        wrap[:, 0] ^= carry
+        # a point's first vector has no predecessor: clear bit 0
+        wrap &= np.where(chunk.starts == 0, ~_WORD.type(1), ~_WORD.type(0))
+        np.right_shift(values[:, -1], 63, out=carry)
+        sums = np.empty((nets, len(offs)), np.uint32)  # per row and piece
+        block = max(1, _CENSUS_WORDS // nwords)
+        diff = np.empty((block, nwords), _WORD)
+        pop = np.empty((block, nwords), np.uint8)
+        for r in range(0, nets, block):
+            x = values[r:r + block].reshape(-1)
+            m = len(x) // nwords
+            d, c = diff[:m], pop[:m]
+            # across a piece or row boundary this pairs unrelated words;
+            # the wrap terms replace those
+            np.bitwise_xor(x[1:], x[:-1], out=d.reshape(-1)[1:])
+            d[:, offs] = wrap[r:r + m]
+            np.bitwise_count(d, out=c)
+            np.add.reduceat(c, offs, axis=1, out=sums[r:r + m])
+        counts[chunk.points] += sums.T
+    dead = constant_nets(netlist)
+    live = [net for net in range(nets) if net not in dead]
+    return (ToggleProfile(vectors, dict(zip(live, row[live].tolist())))
+            for vectors, row in zip(packed.lengths, counts))
 
 
 def simulate(netlist: Netlist, a: StimulusStream, b: StimulusStream) -> ToggleProfile:
     """Simulate both operand streams and count per-net transitions."""
-    vectors = len(a.words)
-    if vectors < 2:
-        raise ValueError("need at least two vectors to count transitions")
-    counts = np.zeros(len(netlist.net_names), np.int64)
-    carry = np.zeros(len(netlist.net_names), _WORD)
-    for values, start, _ in _chunks(netlist, a, b):
-        _count_toggles(values, start == 0, carry, counts)
-    dead = constant_nets(netlist)
-    toggles = {net: count for net, count in enumerate(counts.tolist())
-               if net not in dead}
-    return ToggleProfile(vectors=vectors, toggles=toggles)
+    return next(census(netlist, pack_points(a.bit_width, [(a, b)])))
 
 
 # With V vectors no threshold below 1/(V - 1) is resolved; at 10,000

@@ -354,6 +354,21 @@ def test_cli_bad_threshold_fails_before_simulating(capsys, monkeypatch):
     assert out == "" and "threshold nan outside [0, 1]" in err
 
 
+def test_cli_bad_threshold_fails_before_any_chain(capsys, monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("built a chain under a threshold outside [0, 1]")
+
+    for module in ("rarenet.estimate", "rarenet.stimulus"):
+        monkeypatch.setattr(sys.modules[module], "unit_chain", no_chain)
+    for argv in (["compare", "--arch", "VEDIC:16", "--std", "300",
+                  "--rho", "0.99", "--vectors", "1000000"],
+                 ["sweep", "--arch", "RCA:8", "--rho", "0.99", "--bp1", "3",
+                  "--bp1", "4"]):
+        assert main([*argv, "--threshold", "nan"]) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "" and "threshold nan outside [0, 1]" in err
+
+
 def test_rare_threshold_has_one_default():
     parser = cli._build_parser()
     for argv in SIM_COMMANDS.values():
@@ -491,6 +506,32 @@ def test_cli_replicate_report_matches_sweep(tmp_path):
     assert ((out / "reports" / "sweep_rca8.csv").read_bytes()
             == (tmp_path / "sweep.csv").read_bytes())
 
+
+def test_replicate_packs_each_width_once_and_counts_each_netlist_once(
+        tmp_path, monkeypatch):
+    from rarenet import estimate
+
+    packed, counted = [], []
+
+    def counting_pack(width, pairs):
+        packed.append(width)
+        return pack(width, pairs)
+
+    def counting_census(netlist, points):
+        counted.append((netlist.name, netlist.width, len(points.lengths)))
+        return count(netlist, points)
+
+    pack, count = cli.pack_points, estimate.census
+    monkeypatch.setattr(cli, "pack_points", counting_pack)
+    monkeypatch.setattr(estimate, "census", counting_census)
+    cfg = small_config(architectures=(("RCA", 8), ("BOOTH", 8), ("CKA", 16)),
+                       vectors=300, bp1_targets=(3, 4, 5))
+    path = tmp_path / "run.cfg"
+    save_config(cfg, path)
+    assert main(["replicate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sorted(packed) == [8, 16]
+    assert sorted(counted) == [("booth", 8, 3), ("cka", 16, 3), ("rca", 8, 3)]
 
 
 def test_malloc_thresholds_skipped_where_libc_has_no_mallopt(monkeypatch):

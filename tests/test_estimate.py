@@ -176,6 +176,18 @@ def test_sweep_rejects_target_outside_word(netlist_of):
         sweep_bp1(netlist_of("RCA", 8), 0.99, 1e-3, [3, 9], stream_len=100)
 
 
+def test_sweep_rejects_misfit_target_before_the_census(netlist_of,
+                                                      monkeypatch):
+    from rarenet import estimate
+
+    def no_census(*args):
+        raise AssertionError("census before the targets were checked")
+
+    monkeypatch.setattr(estimate, "census", no_census)
+    with pytest.raises(ValueError, match=r"\[9\]"):
+        sweep_bp1(netlist_of("RCA", 8), 0.99, 1e-3, [3, 9], stream_len=100)
+
+
 def test_operating_points_solve_each_operand_and_skip_misfits():
     points = list(operating_points(8, [9, 4, 3], 0.99, 0.5, 50, seed=7))
     assert [t for t, _, _ in points] == [3, 4]

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from rarenet.archlib import ALL_KINDS
-from rarenet.simulate import (CHUNK_WORDS, ToggleProfile, evaluate,
-                              export_activity, rare_nets, simulate)
+from rarenet.simulate import (CHUNK_WORDS, ToggleProfile, census,
+                              constant_nets, evaluate, export_activity,
+                              pack_points, rare_nets, simulate)
 from rarenet.netlist import Netlist, export_netlist, import_netlist
 from rarenet.stats import WordStats
 from rarenet.stimulus import generate
@@ -104,20 +105,29 @@ def test_toggle_counts_hand_cases(vectors, netlist_of):
     assert prof.probability(s0) == 1.0
 
 
-def assert_toggles_match_reference(nl, vectors, seed=23):
-    half = 1 << (nl.width - 1)
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-half, half, vectors)
-    b = rng.integers(-half, half, vectors)
-    prof = simulate(nl, make_stream(a, nl.width), make_stream(b, nl.width))
-    ref = bigint_reference(nl, a, b)
-    for net, acc in ref.items():
+def assert_profile_matches_reference(nl, a, b, prof):
+    vectors = len(a)
+    assert prof.vectors == vectors
+    # census skips exactly the nets made constant by the tied carry-in
+    assert set(prof.toggles) == set(range(len(nl.net_names))) - constant_nets(nl)
+    for net, acc in bigint_reference(nl, a, b).items():
         if net not in prof.toggles:
-            # census skips nets made constant by the tied carry-in
             assert acc in (0, (1 << vectors) - 1)
             continue
         flips = (acc ^ (acc >> 1)) & ((1 << (vectors - 1)) - 1)
         assert prof.toggles[net] == flips.bit_count(), nl.net_names[net]
+
+
+def random_pair(width, vectors, rng):
+    half = 1 << (width - 1)
+    return tuple(make_stream(rng.integers(-half, half, vectors), width)
+                 for _ in "ab")
+
+
+def assert_toggles_match_reference(nl, vectors, seed=23):
+    a, b = random_pair(nl.width, vectors, np.random.default_rng(seed))
+    prof = simulate(nl, a, b)
+    assert_profile_matches_reference(nl, a.words, b.words, prof)
 
 
 # 63/64/65 straddle the first packed-word boundary
@@ -152,6 +162,42 @@ def test_one_word_chunks_match_reference(netlist_of, monkeypatch):
     assert all(as_int(wave) == ref[net] for net, wave in got.items())
 
 
+# points of 1, 1, 1, 2 and 8 words in chunks of 3: the first chunk holds
+# three points, the fourth shares a chunk with the fifth, which spans four
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_census_of_unequal_points_matches_each_point(kind, netlist_of,
+                                                     monkeypatch):
+    monkeypatch.setattr(sys.modules["rarenet.simulate"], "CHUNK_WORDS", 3)
+    nl = netlist_of(kind, 8)
+    rng = np.random.default_rng(29)
+    pairs = [random_pair(8, n, rng) for n in (2, 63, 64, 65, 500)]
+    packed = pack_points(8, pairs)
+    assert [c.points.tolist() for c in packed.chunks] == [
+        [0, 1, 2], [3, 4], [4], [4], [4]]
+    profiles = list(census(nl, packed))
+    assert len(profiles) == len(pairs)
+    for (a, b), prof in zip(pairs, profiles):
+        assert prof == simulate(nl, a, b)
+        assert_profile_matches_reference(nl, a.words, b.words, prof)
+
+
+def test_census_memory_is_bounded_in_point_count(netlist_of):
+    nl = netlist_of("VEDIC", 16)
+    rng = np.random.default_rng(7)
+    peaks = []
+    for points in (1, 8):
+        pairs = [random_pair(16, 65_536, rng) for _ in range(points)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in census(nl, pack_points(16, pairs)):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_simulate_memory_is_bounded_in_vector_count(netlist_of):
     nl = netlist_of("VEDIC", 16)
     rng = np.random.default_rng(5)
@@ -170,8 +216,6 @@ def test_simulate_memory_is_bounded_in_vector_count(netlist_of):
 
 
 def test_constant_nets_from_tied_carry_in(netlist_of):
-    from rarenet.simulate import constant_nets
-
     nl = netlist_of("RCA", 16)
     dead = constant_nets(nl)
     gate_dead = dead & set(nl.gate_nets)
@@ -279,6 +323,4 @@ CONSTANT_NET_COUNTS = {
     for kind, counts in CONSTANT_NET_COUNTS.items()
     for width, count in zip((4, 8, 16, 32), counts)])
 def test_constant_net_count(netlist_of, kind, width, count):
-    from rarenet.simulate import constant_nets
-
     assert len(constant_nets(netlist_of(kind, width))) == count
