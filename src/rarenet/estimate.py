@@ -24,10 +24,8 @@ import csv
 from dataclasses import dataclass, field, replace
 
 from .netlist import Netlist
-# `simulate` is `census` on one point; it stays bound here for callers
-# that look it up by this name
 from .simulate import (RARE_THRESHOLD, PackedPoints, ToggleProfile, census,
-                       check_threshold, pack_points, rare_nets, simulate)
+                       check_threshold, pack_points, rare_nets)
 from .stats import Breakpoints, WordStats, breakpoints, rho_msb
 from .stimulus import generate, quantise, unit_chain
 

@@ -223,6 +223,8 @@ def import_netlist(text: str) -> Netlist:
         try:
             if lineno == 0:
                 header = dict(item.split("=", 1) for item in parts)
+                if len(header) < len(parts):
+                    raise NetlistError(f"netlist header repeats a key: {ln!r}")
                 name = header["arch"]
                 width = int(header["width"])
             elif parts[0] == "net":

@@ -85,10 +85,21 @@ def dump_stream(stream: StimulusStream) -> str:
 
 
 def parse_stream(text: str) -> StimulusStream:
-    lines = text.strip().splitlines()
-    if not lines:
+    """Read the text format: a header line, then one word per line.
+
+    A word line is `-?[0-9]{1,19}` and nothing else; lines end in `\\n`, and
+    whitespace around the whole text is ignored.  Any other word line, or a
+    header that lacks or repeats a key, raises `ValueError`.
+    """
+    stripped = text.lstrip()
+    skipped = text.count("\n", 0, len(text) - len(stripped))
+    head, _, body = stripped.rstrip().partition("\n")
+    if not head:
         raise ValueError("empty stream file")
-    header = dict(item.split("=", 1) for item in lines[0].split())
+    items = head.split()
+    header = dict(item.split("=", 1) for item in items)
+    if len(header) < len(items):
+        raise ValueError(f"stream header repeats a key: {head!r}")
     missing = [k for k in ("width", "seed", "mu", "sigma", "rho")
                if k not in header]
     if missing:
@@ -97,14 +108,72 @@ def parse_stream(text: str) -> StimulusStream:
     seed = int(header["seed"])
     target = WordStats(
         float(header["mu"]), float(header["sigma"]), float(header["rho"]), width)
-    try:
-        words = np.array(list(map(int, lines[1:])), dtype=np.int64)
-    except OverflowError:
-        raise ValueError("stream word outside the 64-bit range") from None
+    words = _parse_words(body, skipped + 2)
     lo, hi = target.min_value, target.max_value
     if words.size and (words.min() < lo or words.max() > hi):
         raise ValueError(f"stream word out of {width}-bit range")
     return StimulusStream(words, width, seed, target)
+
+
+_DIGITS = 19  # 2**63 has 19 decimal digits
+
+
+def _parse_words(body: str, first_line: int) -> np.ndarray:
+    """The int64 words of `body`, one per line, in whole-array passes.
+
+    `first_line` is the file line number of the body's first line; an error
+    names the first line that is not a word.
+    """
+    if not body:
+        return np.zeros(0, np.int64)
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.append(breaks, raw.size)
+    neg = raw[starts] == ord("-")  # the body ends in a non-blank line
+    length = ends - starts - neg  # digits per line, if all are digits
+    digit = raw - np.uint8(ord("0"))  # wraps: only "0".."9" fall below 10
+    # the non-digits are exactly the newlines and leading signs, or junk
+    junk = (np.count_nonzero(digit < 10) + breaks.size + np.count_nonzero(neg)
+            < raw.size)
+    longest = int(length.max())
+    columns = min(longest, _DIGITS)
+    # Horner over the right-aligned digit columns, most significant first;
+    # 19 digits cannot overflow uint64.  A column past a line's length reads
+    # another line's byte (an index >= -raw.size) and is masked to 0.
+    value = np.zeros(starts.size, np.uint64)
+    column = np.empty(starts.size, np.uint8)
+    present = np.empty(starts.size, bool)
+    at = ends - columns
+    for col in range(columns - 1, -1, -1):
+        digit.take(at, out=column)
+        column *= np.greater(length, col, out=present)
+        value *= 10
+        value += column
+        at += 1
+    if junk or length.min() < 1 or longest >= _DIGITS:
+        # name the first line that is not a 64-bit word, if there is one
+        bad = ((length < 1) | (length > _DIGITS)
+               | (value > neg + np.uint64(2**63 - 1)))
+        junk_line = -1
+        if junk:
+            allowed = digit < 10
+            allowed[breaks] = True
+            allowed[starts[neg]] = True
+            junk_line = int(np.searchsorted(breaks, np.argmin(allowed)))
+            bad[junk_line] = True
+        if bad.any():
+            k = int(np.argmax(bad))
+            if k == junk_line or length[k] < 1:
+                reason = "not a decimal integer"
+            elif length[k] > _DIGITS:
+                reason = f"more than {_DIGITS} digits, beyond the 64-bit range"
+            else:
+                reason = "word outside the 64-bit range"
+            raise ValueError(f"stream line {first_line + k}: {reason}")
+    words = value.view(np.int64)
+    words *= 1 - 2 * neg  # 2**63 reads as -2**63, which negation keeps
+    return words
 
 
 def save_stream(stream: StimulusStream, path: str | Path) -> None:

@@ -171,6 +171,15 @@ def test_cli_simulate_stream_header_missing_key_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_cli_simulate_malformed_stream_word_exits_2(tmp_path, capsys):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    lines = sa.read_text().split("\n")
+    lines[6] = "+" + lines[6].lstrip("-")
+    sa.write_text("\n".join(lines))
+    assert _simulate_exit_code(tmp_path, net, sa, sb) == 2
+    assert "stream line 7: not a decimal integer" in capsys.readouterr().err
+
+
 def test_cli_simulate_malformed_netlist_exits_2(tmp_path, capsys):
     net, (sa, sb) = _simulate_inputs(tmp_path)
     lines = net.read_text().splitlines()
@@ -339,19 +348,6 @@ def test_cli_rejects_threshold_outside_unit_interval(command, capsys):
     for edge in ("0", "1"):
         assert main(argv + ["--threshold", edge]) == 0, edge
     capsys.readouterr()
-
-
-def test_cli_bad_threshold_fails_before_simulating(capsys, monkeypatch):
-    def no_simulation(*args):
-        raise AssertionError("simulated under a threshold outside [0, 1]")
-
-    monkeypatch.setattr(sys.modules["rarenet.estimate"], "simulate",
-                        no_simulation)
-    argv = ["compare", "--arch", "VEDIC:16", "--std", "300", "--rho", "0.99",
-            "--vectors", "1000000", "--threshold", "nan"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "threshold nan outside [0, 1]" in err
 
 
 def test_cli_bad_threshold_fails_before_any_chain(capsys, monkeypatch):

@@ -239,6 +239,13 @@ def test_import_rejects_junk_line():
         import_netlist("arch=x width=2\nwat 1 2 3\n")
 
 
+def test_import_rejects_repeated_header_key():
+    lines = list(RCA4_LINES)
+    lines[0] += " width=8"
+    with pytest.raises(NetlistError, match="netlist header repeats a key"):
+        import_netlist("\n".join(lines))
+
+
 def test_file_round_trip(tmp_path):
     nl = build_architecture("RCA", 4)
     path = tmp_path / "rca4.net"

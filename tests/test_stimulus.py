@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rarenet.stats import WordStats, empirical_bit_profile, empirical_word_stats
 from rarenet.stimulus import (StimulusStream, dump_stream, generate, load_stream,
@@ -119,10 +122,115 @@ def test_dump_stream_matches_line_per_word_format(width):
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises((ValueError, KeyError)):
+    with pytest.raises(ValueError):
         parse_stream("not a header\n1\n2\n")
     with pytest.raises(ValueError):
         parse_stream("")
+
+
+def test_parse_rejects_repeated_header_key():
+    # a repeated key must not silently override the first
+    with pytest.raises(ValueError, match="stream header repeats a key"):
+        parse_stream("width=8 seed=1 mu=0.0 sigma=1.0 rho=0.5 width=16\n300\n-2\n")
+
+
+def _any_width_stream(width, words):
+    return StimulusStream(np.array(words, dtype=np.int64), width, 3,
+                          WordStats(-0.5, 2.0, 0.25, width))
+
+
+@st.composite
+def streams(draw):
+    width = draw(st.integers(2, 64))
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    return _any_width_stream(width, draw(st.lists(st.integers(lo, hi),
+                                                  max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams())
+@example(_any_width_stream(64, [-(1 << 63), (1 << 63) - 1, 0, -1, -(1 << 63)]))
+@example(_any_width_stream(64, []))
+@example(_any_width_stream(2, []))
+def test_parse_inverts_dump(stream):
+    back = parse_stream(dump_stream(stream))
+    assert back.words.dtype == np.int64
+    assert np.array_equal(back.words, stream.words)
+    assert (back.bit_width, back.seed, back.target) == (
+        stream.bit_width, stream.seed, stream.target)
+
+
+def test_whitespace_around_the_text_is_ignored():
+    s = generate(TARGET, 30, 2)
+    text = dump_stream(s)
+    assert text.endswith("\n")
+    for variant in (text, text.rstrip("\n"), "\n \n" + text + "\n\t\n"):
+        assert np.array_equal(parse_stream(variant).words, s.words)
+
+
+HEADER = "width=64 seed=1 mu=0.0 sigma=1.0 rho=0.5"
+
+
+# every bad word sits on line 4 of the file
+@pytest.mark.parametrize("word, reason", [
+    ("", "not a decimal integer"),  # a blank line inside the body
+    ("-", "not a decimal integer"),
+    ("1" * 20, "more than 19 digits"),
+    (str(1 << 63), "word outside the 64-bit range"),
+    (str(-(1 << 63) - 1), "word outside the 64-bit range"),
+    ("+5", "not a decimal integer"),
+    (" 5", "not a decimal integer"),
+    ("1_000", "not a decimal integer"),
+    ("\u0665", "not a decimal integer"),
+    ("5\r", "not a decimal integer"),
+    ("4\r5", "not a decimal integer"),
+    ("--5", "not a decimal integer"),
+    ("5-", "not a decimal integer"),
+])
+def test_parse_rejects_bad_word_naming_its_line(word, reason):
+    with pytest.raises(ValueError, match=f"^stream line 4: {reason}"):
+        parse_stream(f"{HEADER}\n1\n-2\n{word}\n3\n")
+
+
+def _line_per_word_reader(text):
+    """Reference reader: each body line must fullmatch the word pattern and
+    fit int64.  Returns the words, or the file line number of the first
+    line that does not."""
+    lines = text.strip().split("\n")[1:]
+    for k, line in enumerate(lines):
+        if (not re.fullmatch(r"-?[0-9]{1,19}", line)
+                or not -(1 << 63) <= int(line) < 1 << 63):
+            return k + 2
+    return [int(line) for line in lines]
+
+
+_WORDISH = st.one_of(st.integers(-(1 << 64), 1 << 64).map(str),
+                     st.text("0123456789-+_ \t\r\u0665x", max_size=22))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WORDISH, max_size=12))
+def test_parse_agrees_with_line_per_word_reader(lines):
+    text = "\n".join([HEADER, *lines]) + "\n"
+    expected = _line_per_word_reader(text)
+    if isinstance(expected, int):
+        with pytest.raises(ValueError, match=f"^stream line {expected}: "):
+            parse_stream(text)
+    else:
+        assert parse_stream(text).words.tolist() == expected
+
+
+def test_error_names_the_first_bad_line_of_the_file():
+    # line numbers count the blank lines before the header
+    with pytest.raises(ValueError, match="^stream line 4: not a decimal"):
+        parse_stream(f"\n\n{HEADER}\nx\n")
+    # an overflow before a junk line, and a junk line before an overflow
+    with pytest.raises(ValueError, match="^stream line 3: word outside"):
+        parse_stream(f"{HEADER}\n1\n{1 << 63}\n1x\n")
+    with pytest.raises(ValueError, match="^stream line 2: not a decimal"):
+        parse_stream(f"{HEADER}\n{'9' * 25}x\n{1 << 63}\n")
+    with pytest.raises(ValueError, match="^stream line 3: not a decimal"):
+        parse_stream(f"{HEADER}\n7\n\n{'9' * 20}\n")
 
 
 def test_parse_rejects_word_beyond_64_bits():
