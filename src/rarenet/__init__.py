@@ -18,7 +18,7 @@ from .stats import (
     empirical_bit_profile,
 )
 from .stimulus import StimulusStream, generate, save_stream, load_stream
-from .netlist import Netlist, Gate, NetlistError, slice_nets, export_netlist, import_netlist
+from .netlist import Netlist, Gate, NetlistError, export_netlist, import_netlist
 from .archlib import build_adder, build_multiplier, build_architecture, ADDER_KINDS, MULTIPLIER_KINDS
 from .simulate import (ToggleProfile, constant_nets, evaluate, export_activity,
                        rare_nets, simulate)
@@ -37,7 +37,7 @@ __all__ = [
     "rho_msb", "alpha_msb", "breakpoints",
     "theoretical_bit_profile", "empirical_word_stats", "empirical_bit_profile",
     "StimulusStream", "generate", "save_stream", "load_stream",
-    "Netlist", "Gate", "NetlistError", "slice_nets",
+    "Netlist", "Gate", "NetlistError",
     "export_netlist", "import_netlist",
     "build_adder", "build_multiplier", "build_architecture",
     "ADDER_KINDS", "MULTIPLIER_KINDS",

@@ -8,7 +8,6 @@ marks the run incomplete), 2 invalid configuration or usage.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import sys
 from dataclasses import replace
@@ -314,34 +313,7 @@ _COMMANDS = {
 }
 
 
-# glibc mallopt parameters
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _fix_malloc_thresholds() -> None:
-    """Pin glibc's mmap and trim thresholds at their 32/64 MiB ceilings.
-
-    glibc starts them at 128 KiB and raises them as large blocks are
-    freed, so after the first large simulation the simulator's buffers
-    are recycled in the heap.  Whether that heap was also trimmed between
-    commands depended on where small long-lived objects happened to land,
-    so a batch's peak RSS moved by about 9 MB from one process to the
-    next.  Starting at the ceilings gives every process the same steady
-    state from the first command on.  Runs once per process; no-op where
-    the C library has no `mallopt`.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
-    _fix_malloc_thresholds()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .simulate import RARE_THRESHOLD
+from .simulate import RARE_THRESHOLD, check_threshold
 
 
 class ConfigError(Exception):
@@ -49,8 +49,10 @@ class ExperimentConfig:
         if len(self.thresholds) != 1:
             raise ConfigError(
                 f"thresholds must hold exactly one value, got {self.thresholds}")
-        if not 0.0 <= self.thresholds[0] <= 1.0:
-            raise ConfigError(f"threshold {self.thresholds[0]} outside [0, 1]")
+        try:
+            check_threshold(self.thresholds[0])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if any(not 0 <= t <= 64 for t in self.bp1_targets):
             raise ConfigError(
                 f"bp1_targets must be in 0..64, got {self.bp1_targets}")

@@ -79,7 +79,7 @@ def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints, bp_b: Breakpoints,
     bp = effective_slice_start(netlist, bp_a, bp_b)
     if not 0 <= bp.bp1 < netlist.output_width:
         raise ValueError(f"bp1 {bp.bp1} outside output width")
-    # the slice_nets set and its per-block counts, in one pass over the gates
+    # the gate nets at or above column bp1 and their per-block counts
     start = bp.bp1
     nets = []
     per_block: dict[str, int] = {}

@@ -173,19 +173,6 @@ class NetlistBuilder:
                        tuple(self._names), tuple(self._outputs))
 
 
-def slice_nets(netlist: Netlist, from_column: int) -> frozenset[int]:
-    """Gate-output nets whose bit slice is at or above `from_column`.
-
-    Primary inputs are excluded: their activity is set by the stimulus,
-    not by the architecture.
-    """
-    if not 0 <= from_column < netlist.output_width:
-        raise ValueError(
-            f"from_column {from_column} out of range [0, {netlist.output_width})")
-    return frozenset(net for net, g in zip(netlist.gate_nets, netlist.gates)
-                     if g.bit_slice >= from_column)
-
-
 def export_netlist(netlist: Netlist) -> str:
     """Serialize to the deterministic text format (nets by id, gates in order)."""
     lines = [f"arch={netlist.name} width={netlist.width}"]

@@ -78,6 +78,22 @@ class ToggleProfile:
         return self.toggles[net_id] / (self.vectors - 1)
 
 
+def _input_pins(netlist: Netlist) -> tuple[list[int], dict[int, int]]:
+    """Split the primary inputs into pins tied low and operand pins.
+
+    Returns `(tied, rows)`: the pins without an operand mapping (the adder
+    carry-in), and each operand pin's row in `PackedPoints.rows`.
+    """
+    tied, rows = [], {}
+    for net in netlist.primary_inputs:
+        pin = operand_bit(netlist.net_names[net])
+        if pin is None:
+            tied.append(net)
+        else:
+            rows[net] = (pin[0] == "b") * netlist.width + pin[1]
+    return tied, rows
+
+
 def constant_nets(netlist: Netlist) -> frozenset[int]:
     """Nets whose value is fixed by tied control pins (carry-in is held low).
 
@@ -85,10 +101,7 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
     report dead gates as rare regardless of stimulus, so the census skips
     them.  Operand bits are treated as free variables.
     """
-    const: dict[int, int] = {}
-    for net in netlist.primary_inputs:
-        if operand_bit(netlist.net_names[net]) is None:
-            const[net] = 0
+    const = dict.fromkeys(_input_pins(netlist)[0], 0)
     for net, gate in zip(netlist.gate_nets, netlist.gates):
         if const.keys().isdisjoint(gate.inputs):
             continue
@@ -189,14 +202,8 @@ def _chunks(netlist: Netlist, packed: PackedPoints):
     if packed.width != netlist.width:
         raise ValueError("stream width does not match netlist operand width")
     nets = len(netlist.net_names)
-    sources, rows, tied = [], [], []
-    for net in netlist.primary_inputs:
-        pin = operand_bit(netlist.net_names[net])
-        if pin is None:
-            tied.append(net)
-        else:
-            sources.append(net)
-            rows.append((pin[0] == "b") * netlist.width + pin[1])
+    tied, pins = _input_pins(netlist)
+    sources, rows = list(pins), list(pins.values())
     program = [(*_GATES[gate.kind], gate.inputs, net)
                for net, gate in zip(netlist.gate_nets, netlist.gates)]
     buf = np.empty(nets * max((c.hi - c.lo for c in packed.chunks), default=0),

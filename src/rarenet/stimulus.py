@@ -108,10 +108,13 @@ def parse_stream(text: str) -> StimulusStream:
     seed = int(header["seed"])
     target = WordStats(
         float(header["mu"]), float(header["sigma"]), float(header["rho"]), width)
-    words = _parse_words(body, skipped + 2)
+    first = skipped + 2  # the file line number of the first word
+    words = _parse_words(body, first)
     lo, hi = target.min_value, target.max_value
     if words.size and (words.min() < lo or words.max() > hi):
-        raise ValueError(f"stream word out of {width}-bit range")
+        k = int(np.argmax((words < lo) | (words > hi)))
+        raise ValueError(
+            f"stream line {first + k}: word outside the {width}-bit range")
     return StimulusStream(words, width, seed, target)
 
 

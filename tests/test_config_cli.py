@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import inspect
+import math
 import re
 import sys
 from pathlib import Path
@@ -84,6 +85,13 @@ def test_mutated_config_parses_or_raises_config_error(text):
         parse(text)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 2.0, math.nan])
+def test_config_threshold_outside_unit_interval_names_it(threshold):
+    with pytest.raises(ConfigError,
+                       match=rf"^threshold {threshold} outside \[0, 1\]$"):
+        small_config(thresholds=(threshold,))
 
 
 def test_config_validation():
@@ -528,10 +536,3 @@ def test_replicate_packs_each_width_once_and_counts_each_netlist_once(
                  "--out", str(tmp_path / "out")]) == 0
     assert sorted(packed) == [8, 16]
     assert sorted(counted) == [("booth", 8, 3), ("cka", 16, 3), ("rca", 8, 3)]
-
-
-def test_malloc_thresholds_skipped_where_libc_has_no_mallopt(monkeypatch):
-    import rarenet.cli
-
-    monkeypatch.setattr(rarenet.cli.ctypes, "CDLL", lambda name: object())
-    assert rarenet.cli._fix_malloc_thresholds.__wrapped__() is None

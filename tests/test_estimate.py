@@ -15,7 +15,7 @@ from rarenet.estimate import (
     sweep_bp1,
     write_report_csv,
 )
-from rarenet.netlist import slice_nets
+from rarenet.netlist import NetlistBuilder
 from rarenet.stats import Breakpoints, WordStats, breakpoints
 from rarenet.stimulus import dump_stream, generate, unit_chain
 
@@ -32,7 +32,8 @@ def test_estimate_counts_slice_population(netlist_of):
     nl = netlist_of("RCA", 16)
     rep = estimate_rare_nets(nl, Breakpoints(5, 8), Breakpoints(5, 8))
     assert rep.estimated_count == 40
-    assert rep.estimated_nets == slice_nets(nl, 8)
+    assert rep.estimated_nets == {net for net, g in zip(nl.gate_nets, nl.gates)
+                                  if g.bit_slice >= 8}
     assert sum(c for _, c in rep.contributing_blocks) == 40
 
 
@@ -46,6 +47,27 @@ def test_estimate_rejects_out_of_range_boundary(netlist_of):
     nl = netlist_of("RCA", 16)
     with pytest.raises(ValueError):
         estimate_rare_nets(nl, Breakpoints(0, 17), Breakpoints(0, 17))
+    with pytest.raises(ValueError):
+        estimate_rare_nets(nl, Breakpoints(0, -1), Breakpoints(0, -1))
+
+
+def test_estimate_excludes_primary_inputs():
+    bld = NetlistBuilder("demo", 2)
+    a0, b0 = bld.input("a0"), bld.input("b0")
+    bld.set_outputs([bld.gate("XOR", (a0, b0), 0, "bit0"),
+                     bld.gate("AND", (a0, b0), 1, "bit0")])
+    nl = bld.build()
+    for col, nets in ((0, {2, 3}), (1, {3})):
+        bp = Breakpoints(0, col)
+        assert estimate_rare_nets(nl, bp, bp).estimated_nets == nets
+
+
+def test_estimated_nets_shrink_as_column_rises(netlist_of):
+    nl = netlist_of("CLA", 16)
+    sets = [estimate_rare_nets(nl, Breakpoints(0, col),
+                               Breakpoints(0, col)).estimated_nets
+            for col in range(nl.output_width)]
+    assert all(later <= earlier for earlier, later in zip(sets, sets[1:]))
 
 
 def test_adder_boundary_combines_pessimistically(netlist_of):

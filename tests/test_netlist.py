@@ -13,7 +13,6 @@ from rarenet.netlist import (
     import_netlist,
     load_netlist,
     save_netlist,
-    slice_nets,
 )
 
 from conftest import mutations
@@ -76,30 +75,6 @@ def test_primary_input_names_are_validated(names):
     bld.set_outputs([bld.gate("AND", ins, 0, "x")])
     with pytest.raises(NetlistError):
         bld.build()
-
-
-def test_slice_out_of_range():
-    nl = small_netlist()
-    with pytest.raises(ValueError):
-        slice_nets(nl, 2)
-    with pytest.raises(ValueError):
-        slice_nets(nl, -1)
-
-
-def test_slice_nets_excludes_primary_inputs():
-    nl = small_netlist()
-    assert slice_nets(nl, 0) == {2, 3}
-    assert slice_nets(nl, 1) == {3}
-
-
-def test_slice_nets_monotone_in_column():
-    nl = build_architecture("CLA", 16)
-    prev = None
-    for col in range(nl.output_width):
-        cur = slice_nets(nl, col)
-        if prev is not None:
-            assert cur <= prev
-        prev = cur
 
 
 def test_export_import_round_trip_is_byte_identical():

@@ -192,6 +192,16 @@ def test_parse_rejects_bad_word_naming_its_line(word, reason):
         parse_stream(f"{HEADER}\n1\n-2\n{word}\n3\n")
 
 
+@pytest.mark.parametrize("word", [str(1 << 15), str(-(1 << 15) - 1)])
+def test_parse_rejects_word_outside_header_width_naming_its_line(word):
+    head = HEADER.replace("width=64", "width=16")
+    # the range's own ends pass; the first word outside it is named
+    text = f"{head}\n{(1 << 15) - 1}\n{-(1 << 15)}\n{word}\n70000\n"
+    with pytest.raises(ValueError,
+                       match="^stream line 4: word outside the 16-bit range$"):
+        parse_stream(text)
+
+
 def _line_per_word_reader(text):
     """Reference reader: each body line must fullmatch the word pattern and
     fit int64.  Returns the words, or the file line number of the first
