@@ -47,16 +47,25 @@ def test_estimate_rejects_out_of_range_boundary(netlist_of):
     nl = netlist_of("RCA", 16)
     with pytest.raises(ValueError):
         estimate_rare_nets(nl, Breakpoints(0, 17), Breakpoints(0, 17))
-    with pytest.raises(ValueError):
-        estimate_rare_nets(nl, Breakpoints(0, -1), Breakpoints(0, -1))
 
 
-def test_estimate_excludes_primary_inputs():
+def two_gate_netlist():
     bld = NetlistBuilder("demo", 2)
     a0, b0 = bld.input("a0"), bld.input("b0")
     bld.set_outputs([bld.gate("XOR", (a0, b0), 0, "bit0"),
                      bld.gate("AND", (a0, b0), 1, "bit0")])
-    nl = bld.build()
+    return bld.build()
+
+
+def test_estimate_rejects_column_outside_output_width():
+    nl = two_gate_netlist()
+    for col in (2, -1):
+        with pytest.raises(ValueError):
+            estimate_rare_nets(nl, Breakpoints(0, col), Breakpoints(0, col))
+
+
+def test_estimate_excludes_primary_inputs():
+    nl = two_gate_netlist()
     for col, nets in ((0, {2, 3}), (1, {3})):
         bp = Breakpoints(0, col)
         assert estimate_rare_nets(nl, bp, bp).estimated_nets == nets
