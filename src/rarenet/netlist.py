@@ -20,8 +20,11 @@ immutable, cheap to build, and read by field name everywhere.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 GATE_ARITY: dict[str, int] = {
     "AND": 2, "OR": 2, "NAND": 2, "NOR": 2,
@@ -194,66 +197,197 @@ def export_netlist(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DIGITS = 9  # the longest number a netlist line may hold
+_NUMBER = f"(?:0|[1-9][0-9]{{0,{_DIGITS - 1}}})"
+_NUMBER_RULE = f"a number must be 1 to {_DIGITS} digits with no leading zero"
+_HEADER = re.compile(f"arch=([!-~]+) width=({_NUMBER})")
+_OUTPUTS = re.compile(f"outputs(?: ({_NUMBER}(?:,{_NUMBER})*))?")
+_KINDS = tuple(GATE_ARITY)
+
+
 def import_netlist(text: str) -> Netlist:
-    """Parse the text format, checking each line's id against its position."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
+    """Read the text format in whole-array numpy passes over its bytes.
+
+    The lines are exactly those `export_netlist` writes, in its order: the
+    header `arch=<name> width=<n>`, one `net <id> <name>[ pi][ po]` line per
+    net, one `gate <k> <kind> out=<net> in=<net>[,<net>] slice=<col>
+    block=<label>` line per gate, and `outputs <net>,...` last.  Single
+    spaces separate the fields, every other character is printable ASCII,
+    and a number is 1 to 9 digits with no leading zero.  Whitespace around
+    the whole text is ignored.  A line that breaks this grammar, a net or
+    gate id that is not its line's position, an `out=` that is not the net
+    its gate drives, or a kind or input count that `GATE_ARITY` does not
+    allow raises `NetlistError` naming the first such file line.
+    """
+    stripped = text.lstrip()
+    skipped = text.count("\n", 0, len(text) - len(stripped))
+    text = stripped.rstrip()
+    if not text:
         raise NetlistError("empty netlist")
-    names: list[str] = []
-    inputs = 0
-    gates: list[Gate] = []
-    heads: list[tuple[int, int]] = []  # (id, out=) of each gate line
-    flagged: set[int] = set()  # nets whose line carries the po flag
-    outputs: list[int] = []
-    for lineno, ln in enumerate(lines):
-        parts = ln.split()
-        try:
-            if lineno == 0:
-                header = dict(item.split("=", 1) for item in parts)
-                if len(header) < len(parts):
-                    raise NetlistError(f"netlist header repeats a key: {ln!r}")
-                name = header["arch"]
-                width = int(header["width"])
-            elif parts[0] == "net":
-                nid = int(parts[1])
-                if nid != len(names):
-                    raise NetlistError(
-                        f"net {nid} is out of place: net lines must number "
-                        f"0..n-1 in file order (expected net {len(names)})")
-                names.append(parts[2])
-                if "po" in parts[3:]:
-                    flagged.add(nid)
-                if "pi" in parts[3:]:
-                    if inputs < nid:
-                        raise NetlistError(f"primary input net {nid} follows "
-                                           f"a gate-driven net")
-                    inputs += 1
-            elif parts[0] == "gate":
-                fields = dict(p.split("=", 1) for p in parts[3:])
-                heads.append((int(parts[1]), int(fields["out"])))
-                gates.append(Gate(parts[2],
-                                  tuple(int(s) for s in fields["in"].split(",")),
-                                  int(fields["slice"]), fields["block"]))
-            elif parts[0] == "outputs":
-                outputs = [int(s) for s in parts[1].split(",")]
-            else:
-                raise NetlistError(f"unparseable line: {ln}")
-        except (KeyError, IndexError, ValueError) as exc:
-            raise NetlistError(
-                f"malformed line {ln!r} ({type(exc).__name__}: {exc})") from None
-    for k, (gid, out) in enumerate(heads):
-        if (gid, out) != (k, inputs + k):
-            raise NetlistError(
-                f"gate {gid} out={out} is not in topological order: gate "
-                f"line {k} must read gate {k} out={inputs + k}")
-    if len(names) != inputs + len(gates):
-        raise NetlistError(f"{inputs} primary inputs and {len(gates)} gates "
-                           f"need {inputs + len(gates)} nets, got {len(names)}")
+    data = text.encode("utf-8", "surrogatepass")
+    size = len(data)
+    # zero padding: a read past the end of the text matches no field
+    raw = np.frombuffer(data + bytes(16), np.uint8)
+    # word[i] is the 8 bytes from offset i, little-endian, so one gather
+    # reads the start of a field at every line's offset
+    word = np.ndarray(size + 8, "<u8", raw, strides=(1,))
+    breaks = np.flatnonzero(raw[:size] == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.append(breaks, size)
+    last = breaks.size  # the outputs line
+    spaces = np.append(np.flatnonzero(raw[:size] == ord(" ")), size)
+    commas = np.append(np.flatnonzero(raw[:size] == ord(",")), size)
+    digit = raw - np.uint8(ord("0"))  # wraps: only "0".."9" fall below 10
+    problems: list[tuple[int, int, str]] = []  # (line, check, reason)
+
+    def check(bad, rows, reason) -> None:
+        """Note the first line of `rows` where `bad` holds; on one line, the
+        check made first gives the reason."""
+        if bad.any():
+            k = int(np.argmax(bad))
+            problems.append((int(rows[k]), len(problems), reason(k)))
+
+    # besides the newlines, every byte is printable ASCII (" " to "~")
+    odd = raw[:size] - np.uint8(ord(" ")) > ord("~") - ord(" ")
+    if np.count_nonzero(odd) > breaks.size:
+        odd[breaks] = False
+        problems.append((int(np.searchsorted(breaks, np.argmax(odd))), 0,
+                         "a character is not printable ASCII"))
+    head = text[:text.find("\n")] if last else text
+    keys = [item.partition("=")[0] for item in head.split(" ")]
+    header = _HEADER.fullmatch(head)
+    if len(set(keys)) < len(keys):
+        problems.append((0, len(problems), "netlist header repeats a key"))
+    elif header is None:
+        problems.append((0, len(problems),
+                         "the header is not arch=<name> width=<n>"))
+
+    # the net lines run from line 1 to the first line not starting "net "
+    is_net = np.append(_reads(word, starts[1:last], b"net "), False)
+    first_gate = 1 + int(np.argmin(is_net))
+    rows = np.arange(1, first_gate)
+    at = np.searchsorted(spaces, starts[rows])
+    count = np.searchsorted(spaces, ends[rows]) - at
+    cut = spaces[np.minimum(at[:, None] + np.arange(3), spaces.size - 1)]
+    name_at = cut[:, 1] + 1
+    name_end = np.where(count > 2, cut[:, 2], ends[rows])
+    flags = ends[rows] - name_end  # the length of "", " pi", " po" or " pi po"
+    pi = ((flags == 3) | (flags == 6)) & _reads(word, name_end, b" pi")
+    po = (((flags == 3) & _reads(word, name_end, b" po"))
+          | ((flags == 6) & _reads(word, name_end + 3, b" po")))
+    check((count < 2) | (name_at >= name_end) | ((flags != 0) & ~(pi | po))
+          | ((flags == 6) & ~(pi & po)), rows,
+          lambda k: "not a net line of the form net <id> <name>[ pi][ po]")
+    net_ids, ok = _numbers(digit, starts[rows] + 4, cut[:, 1])
+    check(~ok, rows, lambda k: _NUMBER_RULE)
+    check(net_ids != rows - 1, rows, lambda k: (
+        f"net {net_ids[k]} is out of place: net lines must number 0..n-1 in "
+        f"file order (expected net {k})"))
+    inputs = int(np.argmin(np.append(pi, False)))  # the leading pi lines
+    check(pi[inputs:], rows[inputs:], lambda k: (
+        f"primary input net {net_ids[inputs + k]} follows a gate-driven net"))
+
+    rows = np.arange(first_gate, last)
+    gates = rows.size
+    at = np.searchsorted(spaces, starts[rows])
+    count = np.searchsorted(spaces, ends[rows]) - at
+    cut = spaces[np.minimum(at[:, None] + np.arange(6), spaces.size - 1)]
+    ins_at, ins_end = cut[:, 3] + 4, cut[:, 4]
+    comma = np.searchsorted(commas, ins_at)
+    pair = np.searchsorted(commas, ins_end) - comma  # 1 for two inputs
+    split = np.where(pair > 0, commas[np.minimum(comma, commas.size - 1)],
+                     ins_end)
+    check(~_reads(word, starts[rows], b"gate ") | (count != 6)
+          | ~_reads(word, cut[:, 2], b" out=") | ~_reads(word, cut[:, 3], b" in=")
+          | ~_reads(word, cut[:, 4], b" slice=") | (pair > 1)
+          | ~_reads(word, cut[:, 5], b" block="), rows,
+          lambda k: ("not a gate line of the form gate <k> <kind> out=<net> "
+                     "in=<net>[,<net>] slice=<col> block=<label>"))
+    # a one-input gate reads its input twice; `pair` sets the arity
+    numbers, ok = _numbers(
+        digit,
+        np.concatenate((cut[:, 0] + 1, cut[:, 2] + 5, ins_at,
+                        np.where(pair > 0, split + 1, ins_at), cut[:, 4] + 7)),
+        np.concatenate((cut[:, 1], cut[:, 3], split, ins_end, cut[:, 5])))
+    check(~ok.reshape(5, gates).all(axis=0), rows, lambda k: _NUMBER_RULE)
+    gate_ids, outs, first, second, columns = numbers.reshape(5, gates)
+    kind = np.full(gates, -1)
+    kind_at = cut[:, 1] + 1
+    for i, name in enumerate(_KINDS):  # the space after a kind ends it
+        kind[_reads(word, kind_at, f"{name} ".encode())] = i
+    check(kind < 0, rows,
+          lambda k: f"unknown gate kind (known: {', '.join(_KINDS)})")
+    arity = np.array([GATE_ARITY[name] for name in _KINDS])[kind]
+    check(arity != 1 + pair, rows, lambda k: (
+        f"{_KINDS[kind[k]]} has arity {arity[k]}, not {1 + pair[k]}"))
+    position = np.arange(gates)
+    check((gate_ids != position) | (outs != inputs + position), rows,
+          lambda k: (f"gate {gate_ids[k]} out={outs[k]} is not in topological "
+                     f"order: gate line {k} must read gate {k} "
+                     f"out={inputs + k}"))
+
+    listed = _OUTPUTS.fullmatch(text[text.rfind("\n") + 1:]) if last else None
+    if listed is None:
+        problems.append((last, len(problems),
+                         "the last line is not outputs <net>,<net>,..."))
+    if problems:
+        line, _, reason = min(problems)
+        bad = data[starts[line]:ends[line]].decode("utf-8", "surrogatepass")
+        raise NetlistError(
+            f"netlist line {skipped + line + 1}: {reason}: {bad!r}")
+
+    nets = first_gate - 1
+    if nets != inputs + gates:
+        raise NetlistError(f"{inputs} primary inputs and {gates} gates "
+                           f"need {inputs + gates} nets, got {nets}")
+    outputs = [int(n) for n in listed[1].split(",")] if listed[1] else []
+    flagged = set(np.flatnonzero(po).tolist())
     if flagged != set(outputs):
         raise NetlistError(
             f"the po flags on net lines and the outputs line disagree on "
             f"nets {sorted(flagged ^ set(outputs))}")
-    return Netlist(name, width, tuple(gates), tuple(names), tuple(outputs))
+    # the text is printable ASCII now, so byte offsets are string offsets
+    ins = list(zip(first.tolist(), second.tolist()))
+    for k in np.flatnonzero(pair == 0).tolist():
+        ins[k] = ins[k][:1]
+    gate_list = tuple(map(Gate._make, zip(
+        map(_KINDS.__getitem__, kind.tolist()), ins, columns.tolist(),
+        _cut(text, cut[:, 5] + 7, ends[rows]))))
+    return Netlist(header[1], int(header[2]), gate_list,
+                   tuple(_cut(text, name_at, name_end)), tuple(outputs))
+
+
+def _reads(word: np.ndarray, at: np.ndarray, prefix: bytes) -> np.ndarray:
+    """Mask of the offsets `at` where the text holds `prefix` (at most 8
+    bytes); `word[i]` holds the 8 text bytes from offset i, little-endian."""
+    return (word[at] & (1 << 8 * len(prefix)) - 1
+            == int.from_bytes(prefix, "little"))
+
+
+def _numbers(digit: np.ndarray, at: np.ndarray,
+             end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers written in the byte ranges [at, end), and a mask of the
+    ranges that hold 1 to 9 digits with no leading zero.
+
+    `digit` is the text's bytes minus ord("0").  Horner runs over the
+    right-aligned digit columns; a column past a range's start reads
+    another range's byte (or the padding) and is masked to 0.
+    """
+    length = end - at
+    value = np.zeros(at.size, np.int64)
+    junk = np.zeros(at.size, bool)
+    for place in range(min(int(length.max(initial=0)), _DIGITS) - 1, -1, -1):
+        column = digit[end - 1 - place] * (length > place)
+        junk |= column > 9
+        value *= 10
+        value += column
+    return value, (~junk & (length >= 1) & (length <= _DIGITS)
+                   & ((digit[at] != 0) | (length == 1)))
+
+
+def _cut(text: str, at: np.ndarray, end: np.ndarray) -> list[str]:
+    """The substrings text[at[i]:end[i]]."""
+    return [text[i:j] for i, j in zip(at.tolist(), end.tolist())]
 
 
 def save_netlist(netlist: Netlist, path: str | Path) -> None:

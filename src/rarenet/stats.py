@@ -30,8 +30,11 @@ class WordStats:
     bit_width: int
 
     def __post_init__(self) -> None:
-        if self.std_dev < 0:
-            raise ValueError(f"std_dev must be >= 0, got {self.std_dev}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0 <= self.std_dev < math.inf:  # NaN fails every comparison
+            raise ValueError(
+                f"std_dev must be finite and >= 0, got {self.std_dev}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [-1, 1], got {self.rho}")
         if not 2 <= self.bit_width <= 64:  # words are held as int64

@@ -3,6 +3,7 @@ import filecmp
 import inspect
 import math
 import re
+import runpy
 import sys
 from pathlib import Path
 
@@ -250,6 +251,15 @@ def test_cli_simulate_net_id_gap_exits_2(tmp_path, capsys):
     assert "0..n-1" in capsys.readouterr().err
 
 
+def test_python_m_rarenet_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["rarenet", "estimate", "--arch",
+                                      "RCA:16", "--std", "1024", "--rho", "0.99"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("rarenet", run_name="__main__")
+    assert exc.value.code == 0
+    assert "bp1=11" in capsys.readouterr().out
+
+
 def test_cli_estimate_prints_summary(capsys):
     rc = main(["estimate", "--arch", "RCA:16", "--std", "1024",
                "--rho", "0.99"])
@@ -431,6 +441,23 @@ def test_cli_rejects_invalid_stats():
                  "--rho", "0.99"]) == 2
     assert main(["estimate", "--arch", "RCA:16", "--std", "1024",
                  "--rho", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--std", "nan", "std_dev must be finite and >= 0, got nan"),
+    ("--mean", "inf", "mean must be finite, got inf"),
+])
+def test_cli_estimate_rejects_non_finite_stats(flag, value, message, capsys):
+    argv = ["estimate", "--arch", "RCA:16", "--std", "1024", "--rho", "0.99"]
+    assert main([*argv, flag, value]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_simulate_stream_header_nan_sigma_exits_2(tmp_path, capsys):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    sa.write_text(re.sub(r"sigma=\S+", "sigma=nan", sa.read_text(), count=1))
+    assert _simulate_exit_code(tmp_path, net, sa, sb) == 2
+    assert "std_dev must be finite and >= 0, got nan" in capsys.readouterr().err
 
 
 def assert_trees_identical(d1: Path, d2: Path):

@@ -4,9 +4,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarenet.archlib import build_architecture
 from rarenet.netlist import (
+    GATE_ARITY,
+    Gate,
+    Netlist,
     NetlistBuilder,
     NetlistError,
     export_netlist,
@@ -315,9 +319,12 @@ GOLDEN_DIGESTS = [
 
 
 @pytest.mark.parametrize("kind,width,digest", GOLDEN_DIGESTS)
-def test_golden_netlist_digest(kind, width, digest):
-    text = export_netlist(build_architecture(kind, width))
+def test_golden_netlist_digest(kind, width, digest, netlist_of):
+    text = export_netlist(netlist_of(kind, width))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    back = import_netlist(text)
+    assert export_netlist(back) == text
+    assert _outcome(reference_import, text) == text
 
 
 RCA4_TEXT = (Path(__file__).parent / "data" / "rca4.net").read_text()
@@ -330,3 +337,115 @@ def test_mutated_netlist_imports_or_raises_netlist_error(text):
         import_netlist(text)
     except NetlistError:
         pass
+
+
+# A line-by-line reader of the grammar `import_netlist` documents, kept as
+# the reference the array reader is compared with.
+_ID = "(?:0|[1-9][0-9]{0,8})"
+_N = f"({_ID})"
+_REF_HEADER = re.compile(f"arch=([!-~]+) width={_N}")
+_REF_NET = re.compile(f"net {_N} ([!-~]+)( pi)?( po)?")
+_REF_GATE = re.compile(f"gate {_N} ([!-~]+) out={_N} in={_N}(?:,{_N})? "
+                       f"slice={_N} block=([!-~]*)")
+_REF_OUTPUTS = re.compile(f"outputs(?: ({_ID}(?:,{_ID})*))?")
+
+
+def reference_import(text):
+    stripped = text.lstrip()
+    first = text.count("\n", 0, len(text) - len(stripped)) + 1
+    lines = stripped.rstrip().split("\n")
+    if lines == [""]:
+        raise NetlistError("empty netlist")
+    names, pi, po, gates, in_nets = [], [], [], [], True
+    for i, line in enumerate(lines):
+        def bad():
+            raise NetlistError(f"netlist line {first + i}: bad line")
+        if not re.fullmatch("[ -~]*", line):
+            bad()
+        if i == 0:
+            header = _REF_HEADER.fullmatch(line)
+            if not header or len(lines) == 1:
+                bad()
+        elif i == len(lines) - 1:
+            listed = _REF_OUTPUTS.fullmatch(line)
+            if not listed:
+                bad()
+            outputs = (tuple(int(s) for s in listed[1].split(","))
+                       if listed[1] else ())
+        elif in_nets and line.startswith("net "):
+            net = _REF_NET.fullmatch(line)
+            if (not net or int(net[1]) != len(names)
+                    or net[3] and not all(pi)):
+                bad()
+            names.append(net[2])
+            pi.append(bool(net[3]))
+            po.append(bool(net[4]))
+        else:
+            in_nets = False
+            gate = _REF_GATE.fullmatch(line)
+            if not gate:
+                bad()
+            ins = tuple(int(s) for s in (gate[4], gate[5]) if s is not None)
+            k, inputs = len(gates), sum(pi)
+            if (GATE_ARITY.get(gate[2]) != len(ins) or int(gate[1]) != k
+                    or int(gate[3]) != inputs + k):
+                bad()
+            gates.append(Gate(gate[2], ins, int(gate[6]), gate[7]))
+    if len(names) != sum(pi) + len(gates):
+        raise NetlistError("net count")
+    if {n for n, flag in enumerate(po) if flag} != set(outputs):
+        raise NetlistError("po flags")
+    return Netlist(header[1], int(header[2]), tuple(gates), tuple(names),
+                   outputs)
+
+
+def _outcome(reader, text):
+    """The exported netlist `reader` reads from `text`, or the file line its
+    error names, or "error" for an error that names no line."""
+    try:
+        return export_netlist(reader(text))
+    except NetlistError as exc:
+        named = re.match(r"netlist line \d+:", str(exc))
+        return named[0] if named else "error"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_agrees_with_line_by_line_reference(netlist_of, data):
+    source = data.draw(st.sampled_from(
+        [None] + [(kind, width) for kind, width, _ in GOLDEN_DIGESTS]))
+    text = (RCA4_TEXT if source is None
+            else export_netlist(netlist_of(*source)))
+    text = data.draw(mutations(text))
+    assert _outcome(import_netlist, text) == _outcome(reference_import, text)
+
+
+def _edit(line_number, edit):
+    lines = list(RCA4_LINES)
+    lines[line_number - 1] = edit(lines[line_number - 1])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    pytest.param(_edit(12, lambda ln: ln.replace(" po", "\tpo")), 12, id="tab"),
+    pytest.param(_edit(31, lambda ln: ln.replace(" out=", "  out=")), 31,
+                 id="double-space"),
+    pytest.param(_edit(5, lambda ln: ln + "\r"), 5, id="crlf"),
+    pytest.param(_edit(21, lambda ln: ln + "\n"), 22, id="blank-inner-line"),
+    pytest.param(_edit(33, lambda ln: re.sub(r"(slice=\S+) (block=\S+)",
+                                             r"\2 \1", ln)), 33,
+                 id="reordered-fields"),
+    pytest.param(_edit(7, lambda ln: ln + " x"), 7, id="trailing-token"),
+    pytest.param(_edit(40, lambda ln: re.sub(r" slice=\S+", "", ln)), 40,
+                 id="missing-field"),
+    pytest.param(_edit(4, lambda ln: ln.replace("net 2 ", "net 1000000002 ")),
+                 4, id="ten-digit-id"),
+    pytest.param(_edit(5, lambda ln: ln.replace("net 3 ", "net \u0663 ")), 5,
+                 id="non-ascii-digit"),
+    pytest.param("\n\n" + _edit(31, lambda ln: ln + " x"), 33,
+                 id="leading-blank-lines"),
+])
+def test_reader_names_the_bad_line(text, line):
+    with pytest.raises(NetlistError, match=f"^netlist line {line}: "):
+        import_netlist(text)
+    assert _outcome(reference_import, text) == f"netlist line {line}:"
