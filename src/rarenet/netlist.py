@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import textscan
+
 GATE_ARITY: dict[str, int] = {
     "AND": 2, "OR": 2, "NAND": 2, "NOR": 2,
     "XOR": 2, "XNOR": 2, "NOT": 1, "BUF": 1,
@@ -219,22 +221,15 @@ def import_netlist(text: str) -> Netlist:
     its gate drives, or a kind or input count that `GATE_ARITY` does not
     allow raises `NetlistError` naming the first such file line.
     """
-    stripped = text.lstrip()
-    skipped = text.count("\n", 0, len(text) - len(stripped))
-    text = stripped.rstrip()
+    text, raw, starts, ends, skipped = textscan.lines(text)
     if not text:
         raise NetlistError("empty netlist")
-    data = text.encode("utf-8", "surrogatepass")
-    size = len(data)
-    # zero padding: a read past the end of the text matches no field
-    raw = np.frombuffer(data + bytes(16), np.uint8)
+    size = int(ends[-1])
     # word[i] is the 8 bytes from offset i, little-endian, so one gather
-    # reads the start of a field at every line's offset
+    # reads the start of a field at every line's offset; the zero padding
+    # after the text matches no field
     word = np.ndarray(size + 8, "<u8", raw, strides=(1,))
-    breaks = np.flatnonzero(raw[:size] == ord("\n"))
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.append(breaks, size)
-    last = breaks.size  # the outputs line
+    last = ends.size - 1  # the outputs line
     spaces = np.append(np.flatnonzero(raw[:size] == ord(" ")), size)
     commas = np.append(np.flatnonzero(raw[:size] == ord(",")), size)
     digit = raw - np.uint8(ord("0"))  # wraps: only "0".."9" fall below 10
@@ -249,9 +244,9 @@ def import_netlist(text: str) -> Netlist:
 
     # besides the newlines, every byte is printable ASCII (" " to "~")
     odd = raw[:size] - np.uint8(ord(" ")) > ord("~") - ord(" ")
-    if np.count_nonzero(odd) > breaks.size:
-        odd[breaks] = False
-        problems.append((int(np.searchsorted(breaks, np.argmax(odd))), 0,
+    if np.count_nonzero(odd) > last:
+        odd[ends[:-1]] = False
+        problems.append((int(np.searchsorted(ends, np.argmax(odd))), 0,
                          "a character is not printable ASCII"))
     head = text[:text.find("\n")] if last else text
     keys = [item.partition("=")[0] for item in head.split(" ")]
@@ -332,7 +327,8 @@ def import_netlist(text: str) -> Netlist:
                          "the last line is not outputs <net>,<net>,..."))
     if problems:
         line, _, reason = min(problems)
-        bad = data[starts[line]:ends[line]].decode("utf-8", "surrogatepass")
+        bad = raw[starts[line]:ends[line]].tobytes().decode(
+            "utf-8", "surrogatepass")
         raise NetlistError(
             f"netlist line {skipped + line + 1}: {reason}: {bad!r}")
 
@@ -367,22 +363,10 @@ def _reads(word: np.ndarray, at: np.ndarray, prefix: bytes) -> np.ndarray:
 def _numbers(digit: np.ndarray, at: np.ndarray,
              end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The numbers written in the byte ranges [at, end), and a mask of the
-    ranges that hold 1 to 9 digits with no leading zero.
-
-    `digit` is the text's bytes minus ord("0").  Horner runs over the
-    right-aligned digit columns; a column past a range's start reads
-    another range's byte (or the padding) and is masked to 0.
-    """
-    length = end - at
-    value = np.zeros(at.size, np.int64)
-    junk = np.zeros(at.size, bool)
-    for place in range(min(int(length.max(initial=0)), _DIGITS) - 1, -1, -1):
-        column = digit[end - 1 - place] * (length > place)
-        junk |= column > 9
-        value *= 10
-        value += column
-    return value, (~junk & (length >= 1) & (length <= _DIGITS)
-                   & ((digit[at] != 0) | (length == 1)))
+    ranges that hold 1 to 9 digits with no leading zero."""
+    value, ok = textscan.decimals(digit, at, end, _DIGITS)
+    return (value.view(np.int64),
+            ok & ((digit[at] != 0) | (end - at == 1)))
 
 
 def _cut(text: str, at: np.ndarray, end: np.ndarray) -> list[str]:

@@ -12,11 +12,13 @@ identical stream (numpy PCG64).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import textscan
 from .stats import WordStats
 
 _WARMUP = 100
@@ -84,18 +86,21 @@ def dump_stream(stream: StimulusStream) -> str:
             + "".join(lines.tolist()))
 
 
+_DIGITS = 19  # 2**63 has 19 decimal digits
+
+
 def parse_stream(text: str) -> StimulusStream:
     """Read the text format: a header line, then one word per line.
 
     A word line is `-?[0-9]{1,19}` and nothing else; lines end in `\\n`, and
     whitespace around the whole text is ignored.  Any other word line, or a
-    header that lacks or repeats a key, raises `ValueError`.
+    header that lacks or repeats a key, raises `ValueError`; a word error
+    names the first bad file line.
     """
-    stripped = text.lstrip()
-    skipped = text.count("\n", 0, len(text) - len(stripped))
-    head, _, body = stripped.rstrip().partition("\n")
-    if not head:
+    text, raw, starts, ends, skipped = textscan.lines(text)
+    if not text:
         raise ValueError("empty stream file")
+    head = text.partition("\n")[0]
     items = head.split()
     header = dict(item.split("=", 1) for item in items)
     if len(header) < len(items):
@@ -105,78 +110,30 @@ def parse_stream(text: str) -> StimulusStream:
     if missing:
         raise ValueError(f"stream header lacks {', '.join(missing)}")
     width = int(header["width"])
-    seed = int(header["seed"])
-    target = WordStats(
-        float(header["mu"]), float(header["sigma"]), float(header["rho"]), width)
-    first = skipped + 2  # the file line number of the first word
-    words = _parse_words(body, first)
-    lo, hi = target.min_value, target.max_value
-    if words.size and (words.min() < lo or words.max() > hi):
-        k = int(np.argmax((words < lo) | (words > hi)))
-        raise ValueError(
-            f"stream line {first + k}: word outside the {width}-bit range")
-    return StimulusStream(words, width, seed, target)
+    target = WordStats(float(header["mu"]), float(header["sigma"]),
+                       float(header["rho"]), width)
 
-
-_DIGITS = 19  # 2**63 has 19 decimal digits
-
-
-def _parse_words(body: str, first_line: int) -> np.ndarray:
-    """The int64 words of `body`, one per line, in whole-array passes.
-
-    `first_line` is the file line number of the body's first line; an error
-    names the first line that is not a word.
-    """
-    if not body:
-        return np.zeros(0, np.int64)
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
-    breaks = np.flatnonzero(raw == ord("\n"))
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.append(breaks, raw.size)
-    neg = raw[starts] == ord("-")  # the body ends in a non-blank line
-    length = ends - starts - neg  # digits per line, if all are digits
-    digit = raw - np.uint8(ord("0"))  # wraps: only "0".."9" fall below 10
-    # the non-digits are exactly the newlines and leading signs, or junk
-    junk = (np.count_nonzero(digit < 10) + breaks.size + np.count_nonzero(neg)
-            < raw.size)
-    longest = int(length.max())
-    columns = min(longest, _DIGITS)
-    # Horner over the right-aligned digit columns, most significant first;
-    # 19 digits cannot overflow uint64.  A column past a line's length reads
-    # another line's byte (an index >= -raw.size) and is masked to 0.
-    value = np.zeros(starts.size, np.uint64)
-    column = np.empty(starts.size, np.uint8)
-    present = np.empty(starts.size, bool)
-    at = ends - columns
-    for col in range(columns - 1, -1, -1):
-        digit.take(at, out=column)
-        column *= np.greater(length, col, out=present)
-        value *= 10
-        value += column
-        at += 1
-    if junk or length.min() < 1 or longest >= _DIGITS:
-        # name the first line that is not a 64-bit word, if there is one
-        bad = ((length < 1) | (length > _DIGITS)
-               | (value > neg + np.uint64(2**63 - 1)))
-        junk_line = -1
-        if junk:
-            allowed = digit < 10
-            allowed[breaks] = True
-            allowed[starts[neg]] = True
-            junk_line = int(np.searchsorted(breaks, np.argmin(allowed)))
-            bad[junk_line] = True
-        if bad.any():
-            k = int(np.argmax(bad))
-            if k == junk_line or length[k] < 1:
-                reason = "not a decimal integer"
-            elif length[k] > _DIGITS:
-                reason = f"more than {_DIGITS} digits, beyond the 64-bit range"
-            else:
-                reason = "word outside the 64-bit range"
-            raise ValueError(f"stream line {first_line + k}: {reason}")
+    starts, ends = starts[1:], ends[1:]  # the word lines
+    neg = raw[starts] == ord("-")
+    value, ok = textscan.decimals(raw - np.uint8(ord("0")), starts + neg,
+                                  ends, _DIGITS)
+    bad = ~ok | (value > neg + np.uint64(2**63 - 1))
     words = value.view(np.int64)
     words *= 1 - 2 * neg  # 2**63 reads as -2**63, which negation keeps
-    return words
+    bad |= (words < target.min_value) | (words > target.max_value)
+    if bad.any():
+        k = int(np.argmax(bad))
+        line = bytes(raw[starts[k]:ends[k]]).decode("utf-8", "surrogatepass")
+        if not re.fullmatch("-?[0-9]+", line):
+            reason = "not a decimal integer"
+        elif len(line.lstrip("-")) > _DIGITS:
+            reason = f"more than {_DIGITS} digits, beyond the 64-bit range"
+        elif not -2**63 <= int(line) < 2**63:
+            reason = "word outside the 64-bit range"
+        else:
+            reason = f"word outside the {width}-bit range"
+        raise ValueError(f"stream line {skipped + k + 2}: {reason}")
+    return StimulusStream(words, width, int(header["seed"]), target)
 
 
 def save_stream(stream: StimulusStream, path: str | Path) -> None:
