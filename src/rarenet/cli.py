@@ -17,8 +17,8 @@ from .archlib import build_architecture
 from .config import (ConfigError, ExperimentConfig, default_bp1_targets,
                      load_config, parse_arch)
 from .estimate import (SweepPoint, SweepResult, compare, estimate_rare_nets,
-                       operating_points, score_points, sweep_bp1,
-                       write_report_csv)
+                       operand_stats, operating_points, score_points,
+                       sweep_bp1, write_report_csv)
 from .netlist import NetlistError, load_netlist, save_netlist
 from .simulate import (RARE_THRESHOLD, PackedPoints, export_activity,
                        pack_points, simulate)
@@ -215,13 +215,12 @@ def _cmd_locate(args) -> int:
 
 # --------------------------------------------------------------- replicate
 
-def _pack_streams(cfg: ExperimentConfig, width: int, out: Path,
+def _pack_streams(cfg: ExperimentConfig, width: int, targets, out: Path,
                   manifest: list[str]) -> tuple[list[int], PackedPoints]:
     """Generate, save and pack the operating points of one operand width.
 
-    Returns their targets and packed operands; the streams themselves are
-    freed on return."""
-    targets = cfg.bp1_targets or default_bp1_targets(width)
+    Returns the targets that fit and their packed operands; the streams
+    themselves are freed on return."""
     points = list(operating_points(width, targets, cfg.rho_a, cfg.rho_b,
                                    cfg.vectors, cfg.seed))
     for t, sa, sb in points:
@@ -243,6 +242,15 @@ def run(cfg: ExperimentConfig) -> int:
     # an unsupported architecture is a config error: fail before any output
     netlists = {(kind, width): build_architecture(kind, width)
                 for kind, width in cfg.architectures}
+    # so is a width where no target fits: its mean error would read nan
+    width_targets = {w: cfg.bp1_targets or default_bp1_targets(w)
+                     for w in sorted({w for _, w in cfg.architectures})}
+    for width, targets in width_targets.items():
+        if not any(operand_stats(width, t, cfg.rho_a, cfg.rho_b)
+                   for t in targets):
+            raise ConfigError(
+                f"no bp1 target of {list(targets)} fits the {width}-bit word "
+                f"at rho_a={cfg.rho_a}, rho_b={cfg.rho_b}")
     manifest: list[str] = []
     status = "complete"
     try:
@@ -258,8 +266,8 @@ def run(cfg: ExperimentConfig) -> int:
         # width's architectures; a width's rows are freed before the next's
         (threshold,) = cfg.thresholds
         summary = {}
-        for width in sorted({w for _, w in cfg.architectures}):
-            targets, packed = _pack_streams(cfg, width, out, manifest)
+        for width, wanted in width_targets.items():
+            targets, packed = _pack_streams(cfg, width, wanted, out, manifest)
             for kind in (k for k, w in cfg.architectures if w == width):
                 nl = netlists[(kind, width)]
                 tag = f"{kind.lower()}{width}"

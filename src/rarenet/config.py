@@ -84,7 +84,10 @@ def emit(cfg: ExperimentConfig) -> str:
 def parse_arch(item: str) -> tuple[str, int]:
     """`KIND:WIDTH` -> (upper-case kind, width); `ValueError` if malformed."""
     kind, _, w = item.partition(":")
-    return kind.strip().upper(), int(w)
+    try:
+        return kind.strip().upper(), int(w)
+    except ValueError:
+        raise ValueError(f"{item!r} is not KIND:WIDTH") from None
 
 
 # key -> parser of its value; list-valued keys parse each comma-separated item
@@ -94,7 +97,7 @@ _LISTS = {"architectures": parse_arch, "thresholds": float, "bp1_targets": int}
 
 
 def parse(text: str) -> ExperimentConfig:
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -104,21 +107,20 @@ def parse(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in raw:
             raise ConfigError(f"line {lineno}: key {key!r} given twice")
-        raw[key] = value
+        raw[key] = lineno, value
 
     unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     if "architectures" not in raw:
         raise ConfigError("missing required key: architectures")
-    try:
-        kwargs = {
-            key: (tuple(map(_LISTS[key], filter(None, value.split(","))))
-                  if key in _LISTS else _SCALARS[key](value))
-            for key, value in raw.items()
-        }
-    except ValueError as exc:
-        raise ConfigError(f"bad value: {exc}") from exc
+    kwargs = {}
+    for key, (lineno, value) in raw.items():
+        try:
+            kwargs[key] = (tuple(map(_LISTS[key], filter(None, value.split(","))))
+                           if key in _LISTS else _SCALARS[key](value))
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 

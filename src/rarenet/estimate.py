@@ -155,13 +155,21 @@ def operating_points(width: int, targets, rho_a: float, rho_b: float,
         raise ValueError(f"bp1 targets list a target twice: {targets}")
     chains = ()
     for t in targets:
-        st_a, st_b = (WordStats(mean, solve_sigma_for_bp1(t, rho), rho, width)
-                      for rho in (rho_a, rho_b))
-        if st_a.fits_range() and st_b.fits_range():
+        pair = operand_stats(width, t, rho_a, rho_b, mean)
+        if pair:
             chains = chains or (unit_chain(rho_a, vectors, seed),
                                 unit_chain(rho_b, vectors, seed + 1))
-            yield (t, quantise(st_a, chains[0], seed),
-                   quantise(st_b, chains[1], seed + 1))
+            yield (t, quantise(pair[0], chains[0], seed),
+                   quantise(pair[1], chains[1], seed + 1))
+
+
+def operand_stats(width: int, target: int, rho_a: float, rho_b: float,
+                  mean: float = 0.0) -> tuple[WordStats, WordStats] | None:
+    """Each operand's word statistics at a boundary target, its sigma solved
+    from its own rho; None when either's mean +/- 3 sigma does not fit."""
+    pair = tuple(WordStats(mean, solve_sigma_for_bp1(target, rho), rho, width)
+                 for rho in (rho_a, rho_b))
+    return pair if all(st.fits_range() for st in pair) else None
 
 
 @dataclass(frozen=True)

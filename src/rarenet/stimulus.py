@@ -86,32 +86,46 @@ def dump_stream(stream: StimulusStream) -> str:
             + "".join(lines.tolist()))
 
 
+_HEADER = {"width": int, "seed": int, "mu": float, "sigma": float,
+           "rho": float}
 _DIGITS = 19  # 2**63 has 19 decimal digits
 
 
 def parse_stream(text: str) -> StimulusStream:
     """Read the text format: a header line, then one word per line.
 
-    A word line is `-?[0-9]{1,19}` and nothing else; lines end in `\\n`, and
-    whitespace around the whole text is ignored.  Any other word line, or a
-    header that lacks or repeats a key, raises `ValueError`; a word error
-    names the first bad file line.
+    The header is the items `width=<int> seed=<int> mu=<number>
+    sigma=<number> rho=<number>`, separated by whitespace, each once and in
+    any order.  A word line is `-?[0-9]{1,19}` and nothing else; lines end
+    in `\\n`, and whitespace around the whole text is ignored.  Any other
+    header or word line raises `ValueError`; a word error names the first
+    bad file line.
     """
     text, raw, starts, ends, skipped = textscan.lines(text)
     if not text:
         raise ValueError("empty stream file")
     head = text.partition("\n")[0]
-    items = head.split()
-    header = dict(item.split("=", 1) for item in items)
-    if len(header) < len(items):
-        raise ValueError(f"stream header repeats a key: {head!r}")
-    missing = [k for k in ("width", "seed", "mu", "sigma", "rho")
-               if k not in header]
+    header = {}
+    for item in head.split():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"stream header item {item!r} is not key=value")
+        if key in header:
+            raise ValueError(f"stream header repeats a key: {head!r}")
+        if key not in _HEADER:
+            raise ValueError(f"stream header has an unknown key {key!r} "
+                             f"(known: {', '.join(_HEADER)})")
+        try:
+            header[key] = _HEADER[key](value)
+        except ValueError:
+            noun = "an integer" if _HEADER[key] is int else "a number"
+            raise ValueError(
+                f"stream header {key}={value!r} is not {noun}") from None
+    missing = [k for k in _HEADER if k not in header]
     if missing:
         raise ValueError(f"stream header lacks {', '.join(missing)}")
-    width = int(header["width"])
-    target = WordStats(float(header["mu"]), float(header["sigma"]),
-                       float(header["rho"]), width)
+    width = header["width"]
+    target = WordStats(header["mu"], header["sigma"], header["rho"], width)
 
     starts, ends = starts[1:], ends[1:]  # the word lines
     neg = raw[starts] == ord("-")
@@ -133,7 +147,7 @@ def parse_stream(text: str) -> StimulusStream:
         else:
             reason = f"word outside the {width}-bit range"
         raise ValueError(f"stream line {skipped + k + 2}: {reason}")
-    return StimulusStream(words, width, int(header["seed"]), target)
+    return StimulusStream(words, width, header["seed"], target)
 
 
 def save_stream(stream: StimulusStream, path: str | Path) -> None:

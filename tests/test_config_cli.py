@@ -563,3 +563,41 @@ def test_replicate_packs_each_width_once_and_counts_each_netlist_once(
                  "--out", str(tmp_path / "out")]) == 0
     assert sorted(packed) == [8, 16]
     assert sorted(counted) == [("booth", 8, 3), ("cka", 16, 3), ("rca", 8, 3)]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("seed=1", "seed", "stream header item 'seed' is not key=value"),
+    ("width=4", "width=x", "stream header width='x' is not an integer"),
+    ("seed=1", "seed=1 tau=2", "stream header has an unknown key 'tau'"),
+])
+def test_cli_simulate_bad_stream_header_exits_2(tmp_path, capsys, old, new,
+                                                message):
+    net, (sa, sb) = _simulate_inputs(tmp_path)
+    sa.write_text(sa.read_text().replace(old, new, 1))
+    assert _simulate_exit_code(tmp_path, net, sa, sb) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("vectors = 1e5", "line 2: vectors: "),
+    ("bp1_targets = 3, x", "line 2: bp1_targets: "),
+    ("rho_a = high", "line 2: rho_a: "),
+])
+def test_config_value_error_names_key_and_line(line, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse(f"architectures = RCA:8\n{line}\n")
+    with pytest.raises(ConfigError,
+                       match="^line 2: architectures: 'RCA' is not KIND:WIDTH$"):
+        parse("# batch\narchitectures = RCA\n")
+
+
+def test_cli_replicate_width_with_no_fitting_target_exits_2(tmp_path, capsys):
+    # bp1 = 12 fits the 16-bit word but not the 8-bit one, whose sweep would
+    # be empty and whose mean error would read nan
+    path = tmp_path / "run.cfg"
+    path.write_text("architectures=RCA:8,RCA:16\nbp1_targets=12\n"
+                    "vectors=200\n")
+    out = tmp_path / "o"
+    assert main(["replicate", "--config", str(path), "--out", str(out)]) == 2
+    assert "no bp1 target of [12] fits the 8-bit word" in capsys.readouterr().err
+    assert not out.exists()

@@ -265,3 +265,38 @@ def test_mutated_stream_parses_or_raises_value_error(text):
         parse_stream(text)
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("head, message", [
+    ("width=16 seed mu=0 sigma=1 rho=0.5",
+     "stream header item 'seed' is not key=value"),
+    ("width=x seed=1 mu=0 sigma=1 rho=0.5",
+     "stream header width='x' is not an integer"),
+    ("width=16 seed=1.5 mu=0 sigma=1 rho=0.5",
+     "stream header seed='1.5' is not an integer"),
+    ("width=16 seed=1 mu=zero sigma=1 rho=0.5",
+     "stream header mu='zero' is not a number"),
+    ("width=16 seed=1 mu=0 sigma=1 rho=0.5 tau=2",
+     "stream header has an unknown key 'tau'"),
+])
+def test_parse_header_error_names_what_is_wrong(head, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        parse_stream(f"{head}\n1\n")
+
+
+def test_parse_header_items_may_come_in_any_order():
+    s = parse_stream("rho=0.5 sigma=1.0 seed=4 mu=-0.5 width=8\n3\n-4\n")
+    assert (s.bit_width, s.seed) == (8, 4)
+    assert s.target == WordStats(-0.5, 1.0, 0.5, 8)
+    assert s.words.tolist() == [3, -4]
+
+
+def test_error_names_the_first_bad_line_whatever_its_fault():
+    head = HEADER.replace("width=64", "width=16")
+    # a word outside the header width before a junk line is named first
+    with pytest.raises(ValueError,
+                       match="^stream line 3: word outside the 16-bit range$"):
+        parse_stream(f"{head}\n1\n70000\nx\n")
+    # a non-ASCII header does not shift the line the error names
+    with pytest.raises(ValueError, match="^stream line 3: not a decimal"):
+        parse_stream(f"{head}\n1\n1x\n".replace("mu=0.0", "mu=٠"))
