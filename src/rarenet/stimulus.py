@@ -104,7 +104,7 @@ def parse_stream(text: str) -> StimulusStream:
     text, raw, starts, ends, skipped = textscan.lines(text)
     if not text:
         raise ValueError("empty stream file")
-    head = text.partition("\n")[0]
+    head = bytes(raw[:ends[0]]).decode("utf-8", "surrogatepass")
     header = {}
     for item in head.split():
         key, eq, value = item.partition("=")

@@ -565,30 +565,24 @@ def test_replicate_packs_each_width_once_and_counts_each_netlist_once(
     assert sorted(counted) == [("booth", 8, 3), ("cka", 16, 3), ("rca", 8, 3)]
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("seed=1", "seed", "stream header item 'seed' is not key=value"),
-    ("width=4", "width=x", "stream header width='x' is not an integer"),
-    ("seed=1", "seed=1 tau=2", "stream header has an unknown key 'tau'"),
-])
-def test_cli_simulate_bad_stream_header_exits_2(tmp_path, capsys, old, new,
-                                                message):
+def test_cli_simulate_bad_stream_header_exits_2(tmp_path, capsys):
     net, (sa, sb) = _simulate_inputs(tmp_path)
-    sa.write_text(sa.read_text().replace(old, new, 1))
+    sa.write_text(sa.read_text().replace("width=4", "width=x", 1))
     assert _simulate_exit_code(tmp_path, net, sa, sb) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert ("error: stream header width='x' is not an integer"
+            in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("line, message", [
-    ("vectors = 1e5", "line 2: vectors: "),
-    ("bp1_targets = 3, x", "line 2: bp1_targets: "),
-    ("rho_a = high", "line 2: rho_a: "),
+@pytest.mark.parametrize("text, message", [
+    ("architectures = RCA:8\nvectors = 1e5\n", "line 2: vectors: "),
+    ("architectures = RCA:8\nbp1_targets = 3, x\n", "line 2: bp1_targets: "),
+    ("architectures = RCA:8\nrho_a = high\n", "line 2: rho_a: "),
+    ("# batch\narchitectures = RCA\n",
+     "line 2: architectures: 'RCA' is not KIND:WIDTH$"),
 ])
-def test_config_value_error_names_key_and_line(line, message):
+def test_config_value_error_names_key_and_line(text, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
-        parse(f"architectures = RCA:8\n{line}\n")
-    with pytest.raises(ConfigError,
-                       match="^line 2: architectures: 'RCA' is not KIND:WIDTH$"):
-        parse("# batch\narchitectures = RCA\n")
+        parse(text)
 
 
 def test_cli_replicate_width_with_no_fitting_target_exits_2(tmp_path, capsys):
