@@ -327,8 +327,7 @@ def import_netlist(text: str) -> Netlist:
                          "the last line is not outputs <net>,<net>,..."))
     if problems:
         line, _, reason = min(problems)
-        bad = raw[starts[line]:ends[line]].tobytes().decode(
-            "utf-8", "surrogatepass")
+        bad = bytes(raw[starts[line]:ends[line]]).decode("utf-8", "surrogatepass")
         raise NetlistError(
             f"netlist line {skipped + line + 1}: {reason}: {bad!r}")
 

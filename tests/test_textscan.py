@@ -52,9 +52,8 @@ def test_decimals_of_no_ranges():
 def test_lines_cut_the_stripped_text_at_its_newlines(text):
     stripped, raw, starts, ends, skipped = lines(text)
     assert stripped == text.strip()
-    data = stripped.encode()
-    assert bytes(raw) == data + bytes(16)
-    assert [bytes(raw[i:j]).decode() for i, j in zip(starts, ends)] == \
-        stripped.split("\n")
-    # the first line of the stripped text is this line of the file
+    assert bytes(raw) == stripped.encode() + bytes(16)
+    cut = [bytes(raw[i:j]).decode() for i, j in zip(starts, ends)]
+    assert cut == stripped.split("\n")
+    # the newlines in the leading whitespace are the skipped lines
     assert skipped == text[:len(text) - len(text.lstrip())].count("\n")
