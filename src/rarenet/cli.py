@@ -39,6 +39,14 @@ def _stats_pair(args, width: int) -> tuple[WordStats, WordStats]:
     return sa, sb
 
 
+def _arch(item: str) -> tuple[str, int]:
+    """`parse_arch` for argparse, which then shows its message."""
+    try:
+        return parse_arch(item)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_stats_args(p):
     p.add_argument("--mean", type=float, default=0.0)
     p.add_argument("--std", type=float, required=True)
@@ -74,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("build-netlist", help="emit a gate-level netlist")
-    p.add_argument("--arch", type=parse_arch, required=True,
+    p.add_argument("--arch", type=_arch, required=True,
                    metavar="KIND:WIDTH")
     p.add_argument("--out", required=True)
 
@@ -85,19 +93,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="activity CSV path")
 
     p = sub.add_parser("estimate", help="analytical rare-net estimate")
-    p.add_argument("--arch", type=parse_arch, required=True,
+    p.add_argument("--arch", type=_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
 
     p = sub.add_parser("compare", help="estimate vs simulation error")
-    p.add_argument("--arch", type=parse_arch, required=True,
+    p.add_argument("--arch", type=_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
     _add_sim_args(p)
     p.add_argument("--out", default=None, help="optional report CSV")
 
     p = sub.add_parser("sweep", help="error across boundary-column targets")
-    p.add_argument("--arch", type=parse_arch, required=True,
+    p.add_argument("--arch", type=_arch, required=True,
                    metavar="KIND:WIDTH")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--bp1", type=int, action="append", required=True,
@@ -107,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional report CSV")
 
     p = sub.add_parser("locate", help="list the vulnerable region of a module")
-    p.add_argument("--arch", type=parse_arch, required=True,
+    p.add_argument("--arch", type=_arch, required=True,
                    metavar="KIND:WIDTH")
     _add_stats_args(p)
     _add_sim_args(p)

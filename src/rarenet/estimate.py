@@ -23,6 +23,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .netlist import Netlist
 from .simulate import (RARE_THRESHOLD, PackedPoints, ToggleProfile, census,
                        check_threshold, pack_points, rare_nets)
@@ -80,18 +82,16 @@ def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints, bp_b: Breakpoints,
     if not 0 <= bp.bp1 < netlist.output_width:
         raise ValueError(f"bp1 {bp.bp1} outside output width")
     # the gate nets at or above column bp1 and their per-block counts
-    start = bp.bp1
-    nets = []
-    per_block: dict[str, int] = {}
-    for net, (_, _, col, block) in enumerate(netlist.gates,
-                                             len(netlist.primary_inputs)):
-        if col >= start:
-            nets.append(net)
-            per_block[block] = per_block.get(block, 0) + 1
+    above = netlist.slices >= bp.bp1
+    nets = np.flatnonzero(above) + len(netlist.primary_inputs)
+    per_block = np.bincount(netlist.blocks[above],
+                            minlength=len(netlist.block_names))
     return RareNetReport(
         arch=netlist.name, width=netlist.width, bp=bp, threshold=threshold,
-        contributing_blocks=tuple(sorted(per_block.items())),
-        estimated_nets=frozenset(nets),
+        contributing_blocks=tuple(sorted(
+            (name, count) for name, count
+            in zip(netlist.block_names, per_block.tolist()) if count)),
+        estimated_nets=frozenset(nets.tolist()),
     )
 
 

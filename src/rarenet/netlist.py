@@ -1,10 +1,13 @@
 """Structural gate-level netlist model.
 
 A netlist is an immutable single-driver DAG of 1- and 2-input primitive
-gates.  Every gate carries a bit-slice annotation (the output-word column
-the value it produces belongs to) and a block label (e.g. "FA13"); these
-drive region localization.  Netlists round-trip through a deterministic
-text format.
+gates, held as columns.  Gate k has a kind `kinds[k]` (a uint8 code, its
+kind's position in `GATE_ARITY`), inputs `ins[k]` (two net ids, the
+second -1 for a one-input gate), a bit-slice annotation `slices[k]` (the
+output-word column the value it produces belongs to) and a block
+`blocks[k]` (a code into the `block_names` table, e.g. "FA13"); slices
+and blocks drive region localization.  Netlists round-trip through a
+deterministic text format.
 
 Nets are numbered by position: the P primary inputs are nets 0..P-1 and
 gate k drives net P+k, so a net id is also the net's simulator row.
@@ -14,13 +17,17 @@ inputs and the nets of gates listed before it.  The builder and
 checks each `net` and `gate` line against its position, so a file that
 breaks either rule raises `NetlistError`.
 
-A `Gate` is a `typing.NamedTuple` of `(kind, inputs, bit_slice, block)`:
-immutable, cheap to build, and read by field name everywhere.
+A built gate's net is named `<block>.<kind><seq>`, seq counting the gates
+of its block; those names are made the first time `net_names` is read.
+`gates` is a read-only view that makes a `Gate` (a `typing.NamedTuple` of
+`kind, inputs, bit_slice, block`) per index on demand.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,6 +39,10 @@ GATE_ARITY: dict[str, int] = {
     "AND": 2, "OR": 2, "NAND": 2, "NOR": 2,
     "XOR": 2, "XNOR": 2, "NOT": 1, "BUF": 1,
 }
+_KINDS = tuple(GATE_ARITY)  # kind code -> kind
+_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_ARITY = np.array(list(GATE_ARITY.values()))
+_INT32 = np.iinfo(np.int32)
 
 
 class NetlistError(Exception):
@@ -48,8 +59,7 @@ def operand_bit(name: str) -> tuple[str, int] | None:
 
 class Gate(NamedTuple):
     """One primitive gate: its kind (a `GATE_ARITY` key), the nets it
-    reads, its output-word column and its block label.  A NamedTuple, so
-    it is immutable and compares equal to the plain tuple of its fields."""
+    reads, its output-word column and its block label."""
 
     kind: str
     inputs: tuple[int, ...]
@@ -57,19 +67,60 @@ class Gate(NamedTuple):
     block: str
 
 
+class GateView(Sequence):
+    """The gates of a netlist, read-only: `view[k]` makes gate k's `Gate`,
+    and `len` makes none."""
+
+    __slots__ = ("_netlist",)
+
+    def __init__(self, netlist: Netlist):
+        self._netlist = netlist
+
+    def __len__(self) -> int:
+        return len(self._netlist.kinds)
+
+    def __getitem__(self, k: int) -> Gate:
+        nl = self._netlist
+        k = range(len(nl.kinds))[k]  # IndexError past either end
+        first, second = nl.ins[k].tolist()
+        return Gate(_KINDS[nl.kinds[k]],
+                    (first,) if second < 0 else (first, second),
+                    int(nl.slices[k]), nl.block_names[nl.blocks[k]])
+
+
+def _column(values, dtype) -> np.ndarray:
+    column = np.asarray(values, dtype)
+    column.setflags(write=False)
+    return column
+
+
 class Netlist:
-    """Immutable combinational netlist; gate k drives net P + k."""
+    """Immutable combinational netlist; gate k drives net P + k.
 
-    __slots__ = ("name", "width", "gates", "net_names", "primary_outputs")
+    `gate_names` are the names of the gate nets; without them each is
+    named `<block>.<kind><seq>` when `net_names` is first read.
+    """
 
-    def __init__(self, name: str, width: int, gates: tuple[Gate, ...],
-                 net_names: tuple[str, ...], primary_outputs: tuple[int, ...]):
+    __slots__ = ("name", "width", "input_names", "kinds", "ins", "slices",
+                 "blocks", "block_names", "primary_outputs", "_net_names")
+
+    def __init__(self, name: str, width: int, input_names: tuple[str, ...],
+                 kinds, ins, slices, blocks, block_names: tuple[str, ...],
+                 primary_outputs: tuple[int, ...],
+                 gate_names: tuple[str, ...] | None = None):
         self.name = name
         self.width = width
-        self.gates = gates
-        self.net_names = net_names
-        self.primary_outputs = primary_outputs
-        self._validate()
+        self.input_names = tuple(input_names)
+        self.kinds = _column(kinds, np.uint8)
+        self.ins = _column(ins, np.int32).reshape(-1, 2)
+        self.slices = _column(slices, np.int32)
+        self.blocks = _column(blocks, np.int32)
+        self.block_names = tuple(block_names)
+        self.primary_outputs = tuple(primary_outputs)
+        self._net_names = (None if gate_names is None
+                           else self.input_names + tuple(gate_names))
+        _check(width, self.input_names, self.kinds, 1 + (self.ins[:, 1] >= 0),
+               self.ins, self.slices, self.primary_outputs)
 
     @property
     def output_width(self) -> int:
@@ -81,81 +132,132 @@ class Netlist:
 
     @property
     def primary_inputs(self) -> range:
-        return range(len(self.net_names) - len(self.gates))
+        return range(len(self.input_names))
 
     @property
     def gate_nets(self) -> range:
         """The net each gate drives, in gate order."""
-        return range(len(self.primary_inputs), len(self.net_names))
+        return range(len(self.input_names), self.net_count)
+
+    @property
+    def net_count(self) -> int:
+        return len(self.input_names) + len(self.kinds)
+
+    @property
+    def net_names(self) -> tuple[str, ...]:
+        if self._net_names is None:
+            self._net_names = self.input_names + _name_gates(
+                self.kinds, self.blocks, self.block_names)
+        return self._net_names
+
+    @property
+    def gates(self) -> GateView:
+        return GateView(self)
 
     def driver_of(self, net_id: int) -> Gate | None:
         """The gate driving `net_id`; None for a primary input."""
-        k = net_id - len(self.primary_inputs)
-        return self.gates[k] if 0 <= k < len(self.gates) else None
+        k = net_id - len(self.input_names)
+        return self.gates[k] if 0 <= k < len(self.kinds) else None
 
     def bit_slice(self, net_id: int) -> int:
         """Column of a net: its gate's, or the bit of an operand pin (cin: 0)."""
-        gate = self.driver_of(net_id)
-        if gate is not None:
-            return gate.bit_slice
-        pin = operand_bit(self.net_names[net_id])
+        k = net_id - len(self.input_names)
+        if 0 <= k < len(self.kinds):
+            return int(self.slices[k])
+        pin = operand_bit(self.input_names[net_id])
         return pin[1] if pin else 0
 
-    def _validate(self) -> None:
-        gates = self.gates
-        n = len(self.net_names)
-        inputs = n - len(gates)
-        if inputs < 0:
-            raise NetlistError(f"{len(gates)} gates drive only {n} nets")
-        pins = set()
-        for name in self.net_names[:inputs]:
-            pin = operand_bit(name)
-            if name != "cin" and (pin is None or pin[1] >= self.width):
+
+def _name_gates(kinds: np.ndarray, blocks: np.ndarray,
+                block_names: tuple[str, ...]) -> tuple[str, ...]:
+    """`<block>.<kind><seq>` per gate, seq counting the gates of its block."""
+    kind = [name.lower() for name in _KINDS]
+    seq = [0] * len(block_names)
+    names = []
+    for k, b in zip(kinds.tolist(), blocks.tolist()):
+        names.append(f"{block_names[b]}.{kind[k]}{seq[b]}")
+        seq[b] += 1
+    return tuple(names)
+
+
+def _check(width: int, input_names: tuple[str, ...], kinds: np.ndarray,
+           arity: np.ndarray, ins: np.ndarray, slices: np.ndarray,
+           outputs: tuple[int, ...], kind_names: tuple[str, ...] = _KINDS):
+    """Raise `NetlistError` for the first fault of a netlist: in its
+    primary input names, then in the first bad gate (its kind, its arity,
+    its inputs in order, its slice), then in its outputs.
+
+    `arity[k]` is the number of inputs gate k was given, the first two of
+    them in `ins[k]`; `kind_names[c]` names kind code c, and a code past
+    `GATE_ARITY` is unknown.
+    """
+    inputs = len(input_names)
+    pins = set()
+    for name in input_names:
+        pin = operand_bit(name)
+        if name != "cin" and (pin is None or pin[1] >= width):
+            raise NetlistError(
+                f"primary input {name!r} is neither cin nor a<k>/b<k> "
+                f"with k < {width}")
+        pins.add(pin or name)
+    if len(pins) != inputs:
+        raise NetlistError("two primary inputs name the same pin")
+    nets = inputs + len(kinds)
+    columns = len(outputs)
+    known = kinds < len(_KINDS)
+    # gate k may read only nets below its own
+    reads = (ins >= 0) & (ins < np.arange(inputs, nets)[:, None])
+    bad = (~known | (arity != _ARITY[np.where(known, kinds, 0)])
+           | ~reads[:, 0] | ((arity > 1) & ~reads[:, 1])
+           | (slices < 0) | (slices >= columns))
+    if bad.any():
+        k = int(np.argmax(bad))
+        code = int(kinds[k])
+        kind = kind_names[code] if code < len(kind_names) else f"code {code}"
+        if not known[k]:
+            raise NetlistError(f"unknown gate kind {kind}")
+        if arity[k] != GATE_ARITY[kind]:
+            raise NetlistError(f"gate {k} ({kind}) has wrong arity")
+        for i in ins[k, :arity[k]].tolist():
+            if not 0 <= i < inputs + k:
+                if not 0 <= i < nets:
+                    raise NetlistError(f"gate {k} reads unknown net {i}")
                 raise NetlistError(
-                    f"primary input {name!r} is neither cin nor a<k>/b<k> "
-                    f"with k < {self.width}")
-            pins.add(pin or name)
-        if len(pins) != inputs:
-            raise NetlistError("two primary inputs name the same pin")
-        columns = self.output_width
-        for k, (kind, ins, col, _) in enumerate(gates):
-            arity = GATE_ARITY.get(kind)
-            if arity is None:
-                raise NetlistError(f"unknown gate kind {kind}")
-            if len(ins) != arity:
-                raise NetlistError(f"gate {k} ({kind}) has wrong arity")
-            driven = inputs + k  # gate k may read only nets below its own
-            for i in ins:
-                if not 0 <= i < driven:
-                    if not 0 <= i < n:
-                        raise NetlistError(f"gate {k} reads unknown net {i}")
-                    raise NetlistError(
-                        f"gate {k} is not in topological order (net {i})")
-            if not 0 <= col < columns:
-                raise NetlistError(f"gate {k} bit_slice {col} out of range")
-        seen = set()
-        for nid in self.primary_outputs:
-            if not 0 <= nid < n:
-                raise NetlistError(f"unknown primary output net {nid}")
-            if nid in seen:
-                raise NetlistError(f"primary output net {nid} is listed twice")
-            seen.add(nid)
+                    f"gate {k} is not in topological order (net {i})")
+        raise NetlistError(f"gate {k} bit_slice {slices[k]} out of range")
+    seen = set()
+    for nid in outputs:
+        if not 0 <= nid < nets:
+            raise NetlistError(f"unknown primary output net {nid}")
+        if nid in seen:
+            raise NetlistError(f"primary output net {nid} is listed twice")
+        seen.add(nid)
+
+
+def _codes(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct labels in first-seen order, and each label's code."""
+    table = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+    return (tuple(table),
+            np.fromiter(map(table.__getitem__, labels), np.int32, len(labels)))
 
 
 class NetlistBuilder:
     """Incremental netlist construction: all inputs first, then gates in
-    topological order.  `build` checks the result."""
+    topological order.  `gate` records a gate as given; `build` converts
+    the gates to columns once and checks the result."""
 
     def __init__(self, name: str, width: int):
         self.name = name
         self.width = width
         self._names: list[str] = []
-        self._gates: list[Gate] = []
+        self._kinds: list[str] = []
+        self._ins: list[tuple[int, ...]] = []
+        self._slices: list[int] = []
+        self._blocks: list[str] = []
         self._outputs: list[int] = []
-        self._block_seq: dict[str, int] = {}
 
     def input(self, name: str) -> int:
-        if self._gates:
+        if self._kinds:
             raise NetlistError(
                 f"input {name!r} added after a gate: inputs are nets 0..P-1")
         self._names.append(name)
@@ -163,19 +265,42 @@ class NetlistBuilder:
 
     def gate(self, kind: str, inputs: tuple[int, ...] | list[int],
              bit_slice: int, block: str) -> int:
-        seq = self._block_seq.get(block, 0)
-        self._block_seq[block] = seq + 1
-        names = self._names
-        names.append(f"{block}.{kind.lower()}{seq}")
-        self._gates.append(Gate(kind, tuple(inputs), bit_slice, block))
-        return len(names) - 1
+        self._kinds.append(kind)
+        self._ins.append(tuple(inputs))
+        self._slices.append(bit_slice)
+        self._blocks.append(block)
+        return len(self._names) + len(self._kinds) - 1
 
     def set_outputs(self, net_ids: list[int]) -> None:
         self._outputs = list(net_ids)
 
     def build(self) -> Netlist:
-        return Netlist(self.name, self.width, tuple(self._gates),
-                       tuple(self._names), tuple(self._outputs))
+        count = len(self._kinds)
+        arity = np.fromiter(map(len, self._ins), np.int64, count)
+        given = np.fromiter(itertools.chain.from_iterable(self._ins),
+                            np.int64, int(arity.sum()))
+        ins = np.full((count, 2), -1, np.int64)
+        held = arity[:, None] > np.arange(2)  # the first two inputs
+        ins[held] = given[((np.cumsum(arity) - arity)[:, None]
+                           + np.arange(2))[held]]
+        kinds = np.fromiter(
+            map(_CODES.get, self._kinds, itertools.repeat(len(_KINDS))),
+            np.int64, count)
+        slices = np.array(self._slices, np.int64)
+        block_names, blocks = _codes(self._blocks)
+        names, outputs = tuple(self._names), tuple(self._outputs)
+        # the columns hold known kinds, one or two inputs >= 0 and int32
+        # values; a gate they cannot hold is named here, by the same rules
+        if (((kinds == len(_KINDS)) | (arity < 1) | (arity > 2)).any()
+                or ((given < 0) | (given > _INT32.max)).any()
+                or ((slices < _INT32.min) | (slices > _INT32.max)).any()):
+            kind_names = tuple(dict.fromkeys(_KINDS + tuple(self._kinds)))
+            table = {kind: code for code, kind in enumerate(kind_names)}
+            codes = np.array([table[kind] for kind in self._kinds])
+            _check(self.width, names, codes, arity, ins, slices, outputs,
+                   kind_names)
+        return Netlist(self.name, self.width, names, kinds, ins, slices,
+                       blocks, block_names, outputs)
 
 
 def export_netlist(netlist: Netlist) -> str:
@@ -190,10 +315,13 @@ def export_netlist(netlist: Netlist) -> str:
         if nid in pos:
             flags += " po"
         lines.append(f"net {nid} {name}{flags}")
-    for k, g in enumerate(netlist.gates):
-        ins = ",".join(str(i) for i in g.inputs)
-        lines.append(f"gate {k} {g.kind} out={inputs + k} in={ins} "
-                     f"slice={g.bit_slice} block={g.block}")
+    blocks = netlist.block_names
+    for k, (kind, (first, second), col, block) in enumerate(zip(
+            netlist.kinds.tolist(), netlist.ins.tolist(),
+            netlist.slices.tolist(), netlist.blocks.tolist())):
+        ins = f"{first},{second}" if second >= 0 else f"{first}"
+        lines.append(f"gate {k} {_KINDS[kind]} out={inputs + k} in={ins} "
+                     f"slice={col} block={blocks[block]}")
     # output order matters (bit weights); record it explicitly
     lines.append("outputs " + ",".join(str(i) for i in netlist.primary_outputs))
     return "\n".join(lines) + "\n"
@@ -204,7 +332,6 @@ _NUMBER = f"(?:0|[1-9][0-9]{{0,{_DIGITS - 1}}})"
 _NUMBER_RULE = f"a number must be 1 to {_DIGITS} digits with no leading zero"
 _HEADER = re.compile(f"arch=([!-~]+) width=({_NUMBER})")
 _OUTPUTS = re.compile(f"outputs(?: ({_NUMBER}(?:,{_NUMBER})*))?")
-_KINDS = tuple(GATE_ARITY)
 
 
 def import_netlist(text: str) -> Netlist:
@@ -342,14 +469,11 @@ def import_netlist(text: str) -> Netlist:
             f"the po flags on net lines and the outputs line disagree on "
             f"nets {sorted(flagged ^ set(outputs))}")
     # the text is printable ASCII now, so byte offsets are string offsets
-    ins = list(zip(first.tolist(), second.tolist()))
-    for k in np.flatnonzero(pair == 0).tolist():
-        ins[k] = ins[k][:1]
-    gate_list = tuple(map(Gate._make, zip(
-        map(_KINDS.__getitem__, kind.tolist()), ins, columns.tolist(),
-        _cut(text, cut[:, 5] + 7, ends[rows]))))
-    return Netlist(header[1], int(header[2]), gate_list,
-                   tuple(_cut(text, name_at, name_end)), tuple(outputs))
+    names = _cut(text, name_at, name_end)
+    block_names, blocks = _codes(_cut(text, cut[:, 5] + 7, ends[rows]))
+    return Netlist(header[1], int(header[2]), names[:inputs], kind,
+                   np.stack((first, np.where(pair > 0, second, -1)), axis=1),
+                   columns, blocks, block_names, outputs, names[inputs:])
 
 
 def _reads(word: np.ndarray, at: np.ndarray, prefix: bytes) -> np.ndarray:

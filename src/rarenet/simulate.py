@@ -45,7 +45,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .netlist import Netlist, operand_bit
+from .netlist import GATE_ARITY, Netlist, operand_bit
 from .stats import WordStats
 from .stimulus import StimulusStream
 
@@ -53,8 +53,9 @@ CHUNK_WORDS = 1024  # 65,536 vectors per chunk
 _CENSUS_WORDS = 30_000  # words per census block; 9 bytes of temporaries a word
 _WORD = np.dtype("<u8")
 
-# gate kind -> (ufunc on packed words, invert its result)
-_GATES = {
+# gate kind code (its position in `GATE_ARITY`) -> (ufunc on packed words,
+# invert its result)
+_GATES = tuple({
     "AND": (np.bitwise_and, False),
     "OR": (np.bitwise_or, False),
     "NAND": (np.bitwise_and, True),
@@ -63,7 +64,7 @@ _GATES = {
     "XNOR": (np.bitwise_xor, True),
     "NOT": (np.invert, False),
     "BUF": (np.positive, False),
-}
+}[kind] for kind in GATE_ARITY)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ def _input_pins(netlist: Netlist) -> tuple[list[int], dict[int, int]]:
     carry-in), and each operand pin's row in `PackedPoints.rows`.
     """
     tied, rows = [], {}
-    for net in netlist.primary_inputs:
-        pin = operand_bit(netlist.net_names[net])
+    for net, name in enumerate(netlist.input_names):
+        pin = operand_bit(name)
         if pin is None:
             tied.append(net)
         else:
@@ -102,12 +103,15 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
     them.  Operand bits are treated as free variables.
     """
     const = dict.fromkeys(_input_pins(netlist)[0], 0)
-    for net, gate in zip(netlist.gate_nets, netlist.gates):
-        if const.keys().isdisjoint(gate.inputs):
+    for net, kind, (first, second) in zip(netlist.gate_nets,
+                                          netlist.kinds.tolist(),
+                                          netlist.ins.tolist()):
+        if first not in const and second not in const:
             continue
         # constant when every value of the free inputs gives one output
-        op, invert = _GATES[gate.kind]
-        values = ((const[i],) if i in const else (0, 1) for i in gate.inputs)
+        op, invert = _GATES[kind]
+        ins = (first,) if second < 0 else (first, second)
+        values = ((const[i],) if i in const else (0, 1) for i in ins)
         outs = {(int(op(*vals)) ^ invert) & 1
                 for vals in itertools.product(*values)}
         if len(outs) == 1:
@@ -201,11 +205,13 @@ def _chunks(netlist: Netlist, packed: PackedPoints):
     """
     if packed.width != netlist.width:
         raise ValueError("stream width does not match netlist operand width")
-    nets = len(netlist.net_names)
+    nets = netlist.net_count
     tied, pins = _input_pins(netlist)
     sources, rows = list(pins), list(pins.values())
-    program = [(*_GATES[gate.kind], gate.inputs, net)
-               for net, gate in zip(netlist.gate_nets, netlist.gates)]
+    program = [(*_GATES[kind], first, second, net)
+               for net, kind, (first, second) in zip(
+                   netlist.gate_nets, netlist.kinds.tolist(),
+                   netlist.ins.tolist())]
     buf = np.empty(nets * max((c.hi - c.lo for c in packed.chunks), default=0),
                    _WORD)
     for chunk in packed.chunks:
@@ -214,12 +220,12 @@ def _chunks(netlist: Netlist, packed: PackedPoints):
         values[tied] = 0
         values[sources] = packed.rows[rows, chunk.lo:chunk.hi]
         view = list(values)
-        for op, invert, ins, out in program:
+        for op, invert, first, second, out in program:
             dst = view[out]
-            if len(ins) == 2:
-                op(view[ins[0]], view[ins[1]], out=dst)
+            if second >= 0:
+                op(view[first], view[second], out=dst)
             else:
-                op(view[ins[0]], out=dst)
+                op(view[first], out=dst)
             if invert:
                 np.invert(dst, out=dst)
         yield values, chunk
@@ -232,7 +238,7 @@ def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     per vector; it is meant for checking the simulator, not for census runs.
     """
     packed = pack_points(a.bit_width, [(a, b)])
-    waves = np.empty((len(netlist.net_names), len(a.words)), np.uint8)
+    waves = np.empty((netlist.net_count, len(a.words)), np.uint8)
     for values, chunk in _chunks(netlist, packed):
         # one point: each chunk is one piece
         (start,) = chunk.starts
@@ -249,7 +255,7 @@ def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
     Returns an iterator of one `ToggleProfile` per point, in order; the
     profiles are built as they are taken.
     """
-    nets = len(netlist.net_names)
+    nets = netlist.net_count
     counts = np.zeros((len(packed.lengths), nets), np.int64)
     # each row's last vector of the chunk before, as bit 0: the predecessor
     # of vector 0 when the chunk's first piece goes on with the same point
@@ -328,9 +334,10 @@ def export_activity(netlist: Netlist, profile: ToggleProfile, path) -> None:
     """
     inputs = netlist.primary_inputs
     names = _csv_fields(netlist.net_names)
-    blocks = _csv_fields([""] * len(inputs) + [g.block for g in netlist.gates])
-    slices = ([netlist.bit_slice(n) for n in inputs]
-              + [g.bit_slice for g in netlist.gates])
+    blocks = ([""] * len(inputs)
+              + list(map(_csv_fields(netlist.block_names).__getitem__,
+                         netlist.blocks.tolist())))
+    slices = [netlist.bit_slice(n) for n in inputs] + netlist.slices.tolist()
     vectors = profile.vectors
     with open(path, "w", newline="") as fh:
         fh.write("net_id,net_name,block,slice,toggles,vectors,probability\r\n")

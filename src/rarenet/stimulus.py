@@ -86,8 +86,13 @@ def dump_stream(stream: StimulusStream) -> str:
             + "".join(lines.tolist()))
 
 
-_HEADER = {"width": int, "seed": int, "mu": float, "sigma": float,
-           "rho": float}
+# key -> (the ASCII form of its value, its parser): an integer, or a number
+# as an integer or in a form `repr(float)` writes
+_INTEGER = re.compile("-?[0-9]+")
+_NUMBER = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan")
+_HEADER = {"width": (_INTEGER, int), "seed": (_INTEGER, int),
+           "mu": (_NUMBER, float), "sigma": (_NUMBER, float),
+           "rho": (_NUMBER, float)}
 _DIGITS = 19  # 2**63 has 19 decimal digits
 
 
@@ -96,10 +101,12 @@ def parse_stream(text: str) -> StimulusStream:
 
     The header is the items `width=<int> seed=<int> mu=<number>
     sigma=<number> rho=<number>`, separated by whitespace, each once and in
-    any order.  A word line is `-?[0-9]{1,19}` and nothing else; lines end
-    in `\\n`, and whitespace around the whole text is ignored.  Any other
-    header or word line raises `ValueError`; a word error names the first
-    bad file line.
+    any order.  Values are ASCII: an integer is `-?[0-9]+`, and a number is
+    an integer or a form `repr(float)` writes, such as `0.5`, `-0.0`,
+    `1e-05` or `nan`.  A word line is `-?[0-9]{1,19}` and nothing else;
+    lines end in `\\n`, and whitespace around the whole text is ignored.
+    Any other header or word line raises `ValueError`; a word error names
+    the first bad file line.
     """
     text, raw, starts, ends, skipped = textscan.lines(text)
     if not text:
@@ -115,12 +122,11 @@ def parse_stream(text: str) -> StimulusStream:
         if key not in _HEADER:
             raise ValueError(f"stream header has an unknown key {key!r} "
                              f"(known: {', '.join(_HEADER)})")
-        try:
-            header[key] = _HEADER[key](value)
-        except ValueError:
-            noun = "an integer" if _HEADER[key] is int else "a number"
-            raise ValueError(
-                f"stream header {key}={value!r} is not {noun}") from None
+        form, parse = _HEADER[key]
+        if not form.fullmatch(value):
+            noun = "an integer" if parse is int else "a number"
+            raise ValueError(f"stream header {key}={value!r} is not {noun}")
+        header[key] = parse(value)
     missing = [k for k in _HEADER if k not in header]
     if missing:
         raise ValueError(f"stream header lacks {', '.join(missing)}")

@@ -8,6 +8,9 @@ from rarenet.stimulus import StimulusStream
 
 ADDERS = ("RCA", "CLA", "CKA", "CSA", "KSA", "HYBRID")
 MULTS = ("ARRAY", "VEDIC", "DADDA", "BOOTH")
+# every supported (kind, width): 36 architectures
+ARCHS = ([(kind, width) for kind in ADDERS for width in (4, 8, 16, 32)]
+         + [(kind, width) for kind in MULTS for width in (4, 8, 16)])
 
 _cache = {}
 

@@ -260,6 +260,14 @@ def test_python_m_rarenet_runs_the_cli(monkeypatch, capsys):
     assert "bp1=11" in capsys.readouterr().out
 
 
+def test_cli_malformed_arch_names_the_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--arch", "RCA", "--std", "1", "--rho", "0.5"])
+    assert exc.value.code == 2
+    assert ("argument --arch: 'RCA' is not KIND:WIDTH"
+            in capsys.readouterr().err)
+
+
 def test_cli_estimate_prints_summary(capsys):
     rc = main(["estimate", "--arch", "RCA:16", "--std", "1024",
                "--rho", "0.99"])

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import rarenet.netlist
+from rarenet.archlib import build_architecture
+from rarenet.cli import main
 from rarenet.estimate import (
     SweepResult,
     check_report,
@@ -19,7 +22,7 @@ from rarenet.netlist import NetlistBuilder
 from rarenet.stats import Breakpoints, WordStats, breakpoints
 from rarenet.stimulus import dump_stream, generate, unit_chain
 
-from conftest import ADDERS, MULTS
+from conftest import ADDERS, ARCHS, MULTS
 
 BP_8_11 = breakpoints(WordStats(0.0, 1024.0, 0.99, 16))
 
@@ -47,6 +50,45 @@ def test_estimate_rejects_out_of_range_boundary(netlist_of):
     nl = netlist_of("RCA", 16)
     with pytest.raises(ValueError):
         estimate_rare_nets(nl, Breakpoints(0, 17), Breakpoints(0, 17))
+
+
+def gate_loop_estimate(nl, start):
+    """The gate nets at or above column `start` and their per-block counts,
+    by a loop over the gates."""
+    nets, per_block = set(), {}
+    for net, gate in zip(nl.gate_nets, nl.gates):
+        if gate.bit_slice >= start:
+            nets.add(net)
+            per_block[gate.block] = per_block.get(gate.block, 0) + 1
+    return nets, tuple(sorted(per_block.items()))
+
+
+@pytest.mark.parametrize("kind,width", ARCHS)
+def test_estimate_matches_gate_loop_at_every_column(netlist_of, kind, width):
+    nl = netlist_of(kind, width)
+    for col in range(nl.output_width):
+        # an adder takes the larger bp1, a multiplier their sum: both give col
+        rep = estimate_rare_nets(nl, Breakpoints(0, col), Breakpoints(0, 0))
+        nets, per_block = gate_loop_estimate(nl, col)
+        assert rep.bp.bp1 == col
+        assert rep.estimated_nets == nets
+        assert rep.estimated_count == len(nets)
+        assert rep.contributing_blocks == per_block
+
+
+def test_fast_path_makes_no_gate_and_no_gate_name(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the estimate path read a gate or a gate name")
+
+    monkeypatch.setattr(rarenet.netlist, "Gate", forbidden)
+    monkeypatch.setattr(rarenet.netlist, "_name_gates", forbidden)
+    for kind, width in ARCHS:
+        argv = ["--arch", f"{kind}:{width}", "--std", "1", "--rho", "0.5"]
+        assert main(["estimate", *argv]) == 0
+        assert main(["locate", *argv, "--no-sim"]) == 0
+        nl = build_architecture(kind, width)
+        assert len(nl.gates) == len(nl.kinds) > 0
+    assert "p_est=" in capsys.readouterr().out
 
 
 def two_gate_netlist():

@@ -53,14 +53,43 @@ def test_nets_are_numbered_inputs_then_gates():
 
 
 def test_gate_validation():
-    # the builder records gates as given; build() checks them
-    for kind, inputs, message in (("NOT", (0, 0), "wrong arity"),
-                                  ("AND", (0, 99), "unknown net 99"),
-                                  ("MAJ3", (0, 0), "unknown gate kind")):
+    # the builder records gates as given; build() checks them.  Net 0 is
+    # the input a0, and each gate listed drives the next net
+    big = 1 << 40  # more than the int32 columns hold
+    for gates, outputs, message in (
+            ([("NOT", (0, 0), 0)], None, "gate 0 (NOT) has wrong arity"),
+            ([("AND", (0, 0, 0), 0)], None, "gate 0 (AND) has wrong arity"),
+            ([("BUF", (), 0)], None, "gate 0 (BUF) has wrong arity"),
+            ([("AND", (0, 99), 0)], None, "gate 0 reads unknown net 99"),
+            ([("AND", (0, -1), 0)], None, "gate 0 reads unknown net -1"),
+            ([("AND", (big, 0), 0)], None, f"gate 0 reads unknown net {big}"),
+            ([("MAJ3", (0, 0), 0)], None, "unknown gate kind MAJ3"),
+            ([("AND", (0, 1), 0)], None,
+             "gate 0 is not in topological order (net 1)"),
+            ([("AND", (0, 0), 2)], None, "gate 0 bit_slice 2 out of range"),
+            ([("AND", (0, 0), -1)], None, "gate 0 bit_slice -1 out of range"),
+            ([("AND", (0, 0), big)], None,
+             f"gate 0 bit_slice {big} out of range"),
+            ([("AND", (0, 0), 0)], [1, 5], "unknown primary output net 5"),
+            ([("AND", (0, 0), 0)], [1, 1],
+             "primary output net 1 is listed twice"),
+            # the first bad gate is named, and its first fault
+            ([("NOT", (0, 0), 0), ("MAJ3", (0, 0), 0)], None,
+             "gate 0 (NOT) has wrong arity"),
+            ([("MAJ3", (0, 0), 0), ("NOT", (0, 0), 0)], None,
+             "unknown gate kind MAJ3"),
+            ([("AND", (0, 0), 0), ("AND", (0, 3), 9)], None,
+             "gate 1 reads unknown net 3"),
+            ([("AND", (0, 2), 9), ("AND", (0, 5), 0)], None,
+             "gate 0 is not in topological order (net 2)"),
+            ([("AND", (0, 0), 9), ("AND", (0, 9), 0)], None,
+             "gate 0 bit_slice 9 out of range")):
         bld = NetlistBuilder("bad", 2)
         a0 = bld.input("a0")
-        bld.set_outputs([bld.gate(kind, inputs, 0, "x"), a0])
-        with pytest.raises(NetlistError, match=message):
+        nets = [bld.gate(kind, inputs, col, "x")
+                for kind, inputs, col in gates]
+        bld.set_outputs(outputs or [nets[0], a0])
+        with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
             bld.build()
 
 
@@ -94,7 +123,7 @@ def test_export_import_round_trip_is_byte_identical():
 def test_import_preserves_structure():
     nl = small_netlist()
     back = import_netlist(export_netlist(nl))
-    assert back.gates == nl.gates
+    assert list(back.gates) == list(nl.gates)
     assert back.net_names == nl.net_names
     assert back.bit_slice(2) == 0
     assert back.bit_slice(3) == 1
@@ -391,12 +420,19 @@ def reference_import(text):
                     or int(gate[3]) != inputs + k):
                 bad()
             gates.append(Gate(gate[2], ins, int(gate[6]), gate[7]))
-    if len(names) != sum(pi) + len(gates):
+    inputs = sum(pi)
+    if len(names) != inputs + len(gates):
         raise NetlistError("net count")
     if {n for n, flag in enumerate(po) if flag} != set(outputs):
         raise NetlistError("po flags")
-    return Netlist(header[1], int(header[2]), tuple(gates), tuple(names),
-                   outputs)
+    kinds = list(GATE_ARITY)
+    blocks = list(dict.fromkeys(g.block for g in gates))
+    return Netlist(header[1], int(header[2]), names[:inputs],
+                   [kinds.index(g.kind) for g in gates],
+                   [(*g.inputs, -1)[:2] for g in gates],
+                   [g.bit_slice for g in gates],
+                   [blocks.index(g.block) for g in gates], blocks, outputs,
+                   names[inputs:])
 
 
 def _outcome(reader, text):

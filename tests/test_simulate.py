@@ -295,8 +295,11 @@ def test_activity_export_matches_csv_writer(tmp_path, netlist_of):
     assert imported.net_names[14] == 'FA1,"xor0"'
     names = list(imported.net_names)
     names[20], names[21] = "line\nbreak", "carriage\rreturn"
-    built = Netlist(imported.name, imported.width, imported.gates,
-                    tuple(names), imported.primary_outputs)
+    built = Netlist(imported.name, imported.width, imported.input_names,
+                    imported.kinds, imported.ins, imported.slices,
+                    imported.blocks, imported.block_names,
+                    imported.primary_outputs,
+                    names[len(imported.input_names):])
     target = WordStats(0.0, 2.0, 0.5, 4)
     prof = simulate(imported, generate(target, 1000, 1),
                     generate(target, 1000, 2))

@@ -278,10 +278,28 @@ def test_mutated_stream_parses_or_raises_value_error(text):
      "stream header mu='zero' is not a number"),
     ("width=16 seed=1 mu=0 sigma=1 rho=0.5 tau=2",
      "stream header has an unknown key 'tau'"),
+    # values are ASCII, with no digit separators
+    ("width=1_6 seed=1 mu=0 sigma=1 rho=0.5",
+     "stream header width='1_6' is not an integer"),
+    ("width=16 seed=\u0663 mu=0 sigma=1 rho=0.5",
+     "stream header seed='\u0663' is not an integer"),
+    ("width=16 seed=1 mu=\u0660 sigma=1 rho=0.5",
+     "stream header mu='\u0660' is not a number"),
+    ("width=16 seed=1 mu=1_0.5 sigma=1 rho=0.5",
+     "stream header mu='1_0.5' is not a number"),
 ])
 def test_parse_header_error_names_what_is_wrong(head, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         parse_stream(f"{head}\n1\n")
+
+
+def test_header_numbers_round_trip_in_repr_form():
+    target = WordStats(-0.0, 1.5e+16, 1e-05, 64)
+    text = dump_stream(StimulusStream(np.array([0, 1, -1]), 64, 3, target))
+    assert text.startswith("width=64 seed=3 mu=-0.0 sigma=1.5e+16 rho=1e-05\n")
+    back = parse_stream(text)
+    assert dump_stream(back) == text
+    assert back.target == target and back.seed == 3
 
 
 def test_parse_header_items_may_come_in_any_order():
@@ -297,6 +315,7 @@ def test_error_names_the_first_bad_line_whatever_its_fault():
     with pytest.raises(ValueError,
                        match="^stream line 3: word outside the 16-bit range$"):
         parse_stream(f"{head}\n1\n70000\nx\n")
-    # a non-ASCII header does not shift the line the error names
+    # a non-ASCII header does not shift the line the error names: its
+    # values are ASCII, but any whitespace separates its items
     with pytest.raises(ValueError, match="^stream line 3: not a decimal"):
-        parse_stream(f"{head}\n1\n1x\n".replace("mu=0.0", "mu=٠"))
+        parse_stream(f"{head}\n1\n1x\n".replace(" mu=", "\u3000mu="))
