@@ -59,7 +59,8 @@ def operand_bit(name: str) -> tuple[str, int] | None:
 
 class Gate(NamedTuple):
     """One primitive gate: its kind (a `GATE_ARITY` key), the nets it
-    reads, its output-word column and its block label."""
+    reads, its output-word column and its block label.  A NamedTuple, so
+    it is immutable and compares equal to the plain tuple of its fields."""
 
     kind: str
     inputs: tuple[int, ...]
@@ -89,6 +90,7 @@ class GateView(Sequence):
 
 
 def _column(values, dtype) -> np.ndarray:
+    """`values` as a read-only array of `dtype`."""
     column = np.asarray(values, dtype)
     column.setflags(write=False)
     return column
