@@ -20,23 +20,11 @@ from .estimate import (SweepPoint, SweepResult, compare, estimate_rare_nets,
                        operand_stats, operating_points, score_points,
                        sweep_bp1, write_report_csv)
 from .netlist import NetlistError, load_netlist, save_netlist
-from .simulate import (RARE_THRESHOLD, PackedPoints, export_activity,
-                       pack_points, simulate)
+from .simulate import (RARE_THRESHOLD, PackedPoints, check_threshold,
+                       export_activity, pack_points, simulate)
 from .stats import WordStats, breakpoints
-from .stimulus import check_range, generate, load_stream, save_stream
-
-
-def _stats_pair(args, width: int) -> tuple[WordStats, WordStats]:
-    sa = WordStats(args.mean, args.std, args.rho, width)
-    sb = WordStats(
-        args.mean if args.mean_b is None else args.mean_b,
-        args.std if args.std_b is None else args.std_b,
-        args.rho if args.rho_b is None else args.rho_b,
-        width,
-    )
-    check_range(sa)
-    check_range(sb)
-    return sa, sb
+from .stimulus import (DEFAULT_SEED, DEFAULT_VECTORS, check_range, generate,
+                       integer, load_stream, number, save_stream)
 
 
 def _arch(item: str) -> tuple[str, int]:
@@ -47,19 +35,25 @@ def _arch(item: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_stats_args(p):
-    p.add_argument("--mean", type=float, default=0.0)
-    p.add_argument("--std", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--mean-b", type=float, default=None)
-    p.add_argument("--std-b", type=float, default=None)
-    p.add_argument("--rho-b", type=float, default=None)
+# operand-statistics flag -> its default; None marks a required flag
+_STATS = {"mean": 0.0, "std": None, "rho": None}
 
 
-def _add_sim_args(p):
-    p.add_argument("--threshold", type=float, default=RARE_THRESHOLD)
-    p.add_argument("--vectors", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=1)
+def _add_stats_args(p, names=tuple(_STATS), operand_b=True):
+    """`--<name>` per name and, with `operand_b`, the `--<name>-b` that
+    overrides it for operand B."""
+    for name in names:
+        p.add_argument(f"--{name}", type=number, default=_STATS[name],
+                       required=_STATS[name] is None)
+        if operand_b:
+            p.add_argument(f"--{name}-b", type=number, default=None)
+
+
+def _add_sim_args(p, threshold=True):
+    if threshold:
+        p.add_argument("--threshold", type=number, default=RARE_THRESHOLD)
+    p.add_argument("--vectors", type=integer, default=DEFAULT_VECTORS)
+    p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
 
 
 @functools.cache
@@ -72,57 +66,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-vectors", help="generate a correlated word stream")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--mean", type=float, default=0.0)
-    p.add_argument("--std", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--vectors", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=1)
+    def command(name, run, help, arch=True):
+        """A subcommand that `run` executes, with `--arch` unless told not to."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if arch:
+            p.add_argument("--arch", type=_arch, required=True,
+                           metavar="KIND:WIDTH")
+        return p
+
+    p = command("gen-vectors", _cmd_gen_vectors,
+                "generate a correlated word stream", arch=False)
+    p.add_argument("--width", type=integer, required=True)
+    _add_stats_args(p, operand_b=False)
+    _add_sim_args(p, threshold=False)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("build-netlist", help="emit a gate-level netlist")
-    p.add_argument("--arch", type=_arch, required=True,
-                   metavar="KIND:WIDTH")
+    p = command("build-netlist", _cmd_build_netlist,
+                "emit a gate-level netlist")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("simulate", help="toggle-count a netlist under streams")
+    p = command("simulate", _cmd_simulate,
+                "toggle-count a netlist under streams", arch=False)
     p.add_argument("--netlist", required=True)
     p.add_argument("--stream-a", required=True)
     p.add_argument("--stream-b", required=True)
     p.add_argument("--out", required=True, help="activity CSV path")
 
-    p = sub.add_parser("estimate", help="analytical rare-net estimate")
-    p.add_argument("--arch", type=_arch, required=True,
-                   metavar="KIND:WIDTH")
+    p = command("estimate", _cmd_estimate, "analytical rare-net estimate")
     _add_stats_args(p)
 
-    p = sub.add_parser("compare", help="estimate vs simulation error")
-    p.add_argument("--arch", type=_arch, required=True,
-                   metavar="KIND:WIDTH")
+    p = command("compare", _cmd_compare, "estimate vs simulation error")
     _add_stats_args(p)
     _add_sim_args(p)
     p.add_argument("--out", default=None, help="optional report CSV")
 
-    p = sub.add_parser("sweep", help="error across boundary-column targets")
-    p.add_argument("--arch", type=_arch, required=True,
-                   metavar="KIND:WIDTH")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--bp1", type=int, action="append", required=True,
+    p = command("sweep", _cmd_sweep, "error across boundary-column targets")
+    _add_stats_args(p, ("mean", "rho"), operand_b=False)
+    p.add_argument("--bp1", type=integer, action="append", required=True,
                    help="target column (repeatable)")
-    p.add_argument("--mean", type=float, default=0.0)
     _add_sim_args(p)
     p.add_argument("--out", default=None, help="optional report CSV")
 
-    p = sub.add_parser("locate", help="list the vulnerable region of a module")
-    p.add_argument("--arch", type=_arch, required=True,
-                   metavar="KIND:WIDTH")
+    p = command("locate", _cmd_locate,
+                "list the vulnerable region of a module")
     _add_stats_args(p)
     _add_sim_args(p)
     p.add_argument("--no-sim", action="store_true",
                    help="skip simulation; --vectors and --seed are ignored")
 
-    p = sub.add_parser("replicate", help="run the full batch from a config")
+    p = command("replicate", _cmd_replicate,
+                "run the full batch from a config", arch=False)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override output_dir")
 
@@ -133,31 +127,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_vectors(args) -> int:
     target = WordStats(args.mean, args.std, args.rho, args.width)
-    stream = generate(target, args.vectors, args.seed)
-    save_stream(stream, args.out)
+    save_stream(generate(target, args.vectors, args.seed), args.out)
     return 0
 
 
 def _cmd_build_netlist(args) -> int:
-    kind, width = args.arch
-    save_netlist(build_architecture(kind, width), args.out)
+    save_netlist(build_architecture(*args.arch), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     netlist = load_netlist(args.netlist)
-    sa = load_stream(args.stream_a)
-    sb = load_stream(args.stream_b)
-    profile = simulate(netlist, sa, sb)
+    profile = simulate(netlist, load_stream(args.stream_a),
+                       load_stream(args.stream_b))
     export_activity(netlist, profile, args.out)
     return 0
 
 
-def _cmd_estimate(args) -> int:
+def _report(args, simulated: bool):
+    """Build `--arch` and estimate at the operand statistics; when
+    `simulated`, also score the estimate against a simulation."""
     kind, width = args.arch
     netlist = build_architecture(kind, width)
-    sa, sb = _stats_pair(args, width)
-    rep = estimate_rare_nets(netlist, breakpoints(sa), breakpoints(sb))
+    # operand B takes operand A's value of each flag it omits
+    sa = WordStats(args.mean, args.std, args.rho, width)
+    sb = WordStats(*(a if b is None else b for a, b in (
+        (args.mean, args.mean_b), (args.std, args.std_b),
+        (args.rho, args.rho_b))), width)
+    check_range(sa)
+    check_range(sb)
+    if simulated:
+        return netlist, compare(netlist, sa, sb, args.threshold,
+                                args.vectors, args.seed)
+    return netlist, estimate_rare_nets(netlist, breakpoints(sa),
+                                       breakpoints(sb))
+
+
+def _cmd_estimate(args) -> int:
+    _, rep = _report(args, simulated=False)
     print(f"arch={rep.arch} width={rep.width} bp0={rep.bp.bp0} "
           f"bp1={rep.bp.bp1} p_est={rep.estimated_count}")
     for block, count in rep.contributing_blocks:
@@ -166,10 +173,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    kind, width = args.arch
-    netlist = build_architecture(kind, width)
-    sa, sb = _stats_pair(args, width)
-    rep = compare(netlist, sa, sb, args.threshold, args.vectors, args.seed)
+    _, rep = _report(args, simulated=True)
     print(f"arch={rep.arch} width={rep.width} bp1={rep.bp.bp1} "
           f"p_est={rep.estimated_count} p_sim={rep.simulated_count} "
           f"error={rep.abs_error:.6f}")
@@ -179,8 +183,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kind, width = args.arch
-    netlist = build_architecture(kind, width)
+    netlist = build_architecture(*args.arch)
     res = sweep_bp1(netlist, args.rho, args.threshold, args.bp1,
                     args.vectors, args.seed, args.mean)
     for p in res.points:
@@ -195,15 +198,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_locate(args) -> int:
-    kind, width = args.arch
-    netlist = build_architecture(kind, width)
-    sa, sb = _stats_pair(args, width)
-    if args.no_sim:
-        rep = estimate_rare_nets(netlist, breakpoints(sa), breakpoints(sb),
-                                 args.threshold)
-    else:
-        rep = compare(netlist, sa, sb, args.threshold, args.vectors,
-                      args.seed)
+    check_threshold(args.threshold)  # --no-sim reads it nowhere else
+    netlist, rep = _report(args, simulated=not args.no_sim)
     top = netlist.output_width - 1
     print(f"arch={rep.arch} width={rep.width} vulnerable columns "
           f"{rep.bp.bp1}..{top} ({rep.estimated_count} nets)")
@@ -317,29 +313,13 @@ def _cmd_replicate(args) -> int:
     return run(cfg)
 
 
-_COMMANDS = {
-    "gen-vectors": _cmd_gen_vectors,
-    "build-netlist": _cmd_build_netlist,
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "compare": _cmd_compare,
-    "sweep": _cmd_sweep,
-    "locate": _cmd_locate,
-    "replicate": _cmd_replicate,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, NetlistError, ValueError) as exc:
+        return args.run(args)
+    except (ConfigError, NetlistError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Grammar: one `key=value` pair per line; blank lines and lines starting
 with `#` are ignored, and a key may appear only once.  Lists are
 comma-separated; `architectures` and `bp1_targets` may not repeat an
-item.  Architectures are written `KIND:WIDTH`.
+item.  Architectures are written `KIND:WIDTH`.  An integer is ASCII
+`-?[0-9]+`, and a number is ASCII text with no `_` that `float` reads.
 `parse(emit(cfg))` returns an equal config.
 
 Operand statistics are stored width-free: only each operand's lag-1
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .simulate import RARE_THRESHOLD, check_threshold
+from .stimulus import DEFAULT_SEED, DEFAULT_VECTORS, integer, number
 
 
 class ConfigError(Exception):
@@ -31,8 +33,8 @@ class ExperimentConfig:
     rho_b: float = 0.99
     thresholds: tuple[float, ...] = (RARE_THRESHOLD,)
     bp1_targets: tuple[int, ...] = ()
-    vectors: int = 10_000
-    seed: int = 1
+    vectors: int = DEFAULT_VECTORS
+    seed: int = DEFAULT_SEED
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -85,15 +87,16 @@ def parse_arch(item: str) -> tuple[str, int]:
     """`KIND:WIDTH` -> (upper-case kind, width); `ValueError` if malformed."""
     kind, _, w = item.partition(":")
     try:
-        return kind.strip().upper(), int(w)
+        return kind.strip().upper(), integer(w)
     except ValueError:
         raise ValueError(f"{item!r} is not KIND:WIDTH") from None
 
 
-# key -> parser of its value; list-valued keys parse each comma-separated item
-_SCALARS = {"rho_a": float, "rho_b": float, "vectors": int, "seed": int,
-            "output_dir": str}
-_LISTS = {"architectures": parse_arch, "thresholds": float, "bp1_targets": int}
+# key -> parser of its value; a list key parses each comma-separated item
+_PARSERS = {"architectures": parse_arch, "thresholds": number,
+            "bp1_targets": integer, "rho_a": number, "rho_b": number,
+            "vectors": integer, "seed": integer, "output_dir": str}
+_LISTS = ("architectures", "thresholds", "bp1_targets")
 
 
 def parse(text: str) -> ExperimentConfig:
@@ -117,8 +120,9 @@ def parse(text: str) -> ExperimentConfig:
     kwargs = {}
     for key, (lineno, value) in raw.items():
         try:
-            kwargs[key] = (tuple(map(_LISTS[key], filter(None, value.split(","))))
-                           if key in _LISTS else _SCALARS[key](value))
+            kwargs[key] = (tuple(_PARSERS[key](item.strip())
+                                 for item in value.split(",") if item)
+                           if key in _LISTS else _PARSERS[key](value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     return ExperimentConfig(**kwargs)

@@ -7,15 +7,15 @@ gate at or above that column is predicted rare.  For a multiplier the
 operand log-magnitudes add, so the product-side boundary is taken as the
 sum of the two operand boundaries (clamped to the product width).
 
-`check_report` is the one place a prediction is scored: it takes the
-simulated rare set (gate-output nets at or below the report's threshold)
-from a toggle profile, and the report derives the relative count error
-|simulated - estimated| / max(simulated, 1) from it; points where the
-simulation found no rare nets are kept, with the whole estimate as error.
-`operating_points` is the one sweep loop and `score_points` the one
-scoring loop: it estimates every operating point of a netlist, counts
-their toggles in one census and scores each; `compare`, `sweep_bp1` and
-`cli.run` use both.
+An estimate holds no threshold.  `check_report` is the one place one is
+applied: it records it and takes the simulated rare set (gate-output nets
+at or below it) from a toggle profile, and the report derives the relative
+count error |simulated - estimated| / max(simulated, 1); points where the
+simulation found no rare nets keep the whole estimate as error.
+`operating_points` is the one sweep loop (`sweep_bp1`, `cli.run`) and
+`score_points` the one scoring loop: it estimates every operating point
+of a netlist, counts their toggles in one census and scores each
+(`compare`, `sweep_bp1`, `cli.run`).
 """
 
 from __future__ import annotations
@@ -29,19 +29,20 @@ from .netlist import Netlist
 from .simulate import (RARE_THRESHOLD, PackedPoints, ToggleProfile, census,
                        check_threshold, pack_points, rare_nets)
 from .stats import Breakpoints, WordStats, breakpoints, rho_msb
-from .stimulus import generate, quantise, unit_chain
+from .stimulus import (DEFAULT_SEED, DEFAULT_VECTORS, generate, quantise,
+                       unit_chain)
 
 
 @dataclass(frozen=True)
 class RareNetReport:
-    """Estimated vs (optionally) simulated rare-net population of one module."""
+    """Estimated vs (once `check_report` scores it) simulated rare nets."""
 
     arch: str
     width: int
     bp: Breakpoints
-    threshold: float
     contributing_blocks: tuple[tuple[str, int], ...]
     estimated_nets: frozenset[int] = field(repr=False, default=frozenset())
+    threshold: float | None = None
     simulated_nets: frozenset[int] | None = field(repr=False, default=None)
     stats_a: WordStats | None = None
 
@@ -74,10 +75,9 @@ def effective_slice_start(netlist: Netlist, bp_a: Breakpoints,
     return Breakpoints(min(bp_a.bp0, bp_b.bp0), max(bp_a.bp1, bp_b.bp1))
 
 
-def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints, bp_b: Breakpoints,
-                       threshold: float = RARE_THRESHOLD) -> RareNetReport:
+def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints,
+                       bp_b: Breakpoints) -> RareNetReport:
     """Predict the rare-net set of a module from operand breakpoints."""
-    check_threshold(threshold)  # every path estimates before it simulates
     bp = effective_slice_start(netlist, bp_a, bp_b)
     if not 0 <= bp.bp1 < netlist.output_width:
         raise ValueError(f"bp1 {bp.bp1} outside output width")
@@ -87,7 +87,7 @@ def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints, bp_b: Breakpoints,
     per_block = np.bincount(netlist.blocks[above],
                             minlength=len(netlist.block_names))
     return RareNetReport(
-        arch=netlist.name, width=netlist.width, bp=bp, threshold=threshold,
+        arch=netlist.name, width=netlist.width, bp=bp,
         contributing_blocks=tuple(sorted(
             (name, count) for name, count
             in zip(netlist.block_names, per_block.tolist()) if count)),
@@ -96,30 +96,32 @@ def estimate_rare_nets(netlist: Netlist, bp_a: Breakpoints, bp_b: Breakpoints,
 
 
 def check_report(netlist: Netlist, report: RareNetReport,
-                 profile: ToggleProfile) -> RareNetReport:
-    """Attach the simulated rare-net set of `profile` to a report.
+                 profile: ToggleProfile, threshold: float) -> RareNetReport:
+    """Attach the threshold and `profile`'s rare-net set at it to a report.
 
     Only gate outputs count: primary inputs switch as the stimulus says.
     """
     gate_nets = netlist.gate_nets
-    simulated = frozenset(net for net in rare_nets(profile, report.threshold)
+    simulated = frozenset(net for net in rare_nets(profile, threshold)
                           if net in gate_nets)
-    return replace(report, simulated_nets=simulated)
+    return replace(report, threshold=threshold, simulated_nets=simulated)
 
 
 def score_points(netlist: Netlist, packed: PackedPoints, threshold: float):
     """Estimate every packed point, count their toggles in one census, and
     yield `(report, profile)` per point, in order."""
+    check_threshold(threshold)  # before the census
     reports = [replace(estimate_rare_nets(netlist, breakpoints(st_a),
-                                          breakpoints(st_b), threshold),
+                                          breakpoints(st_b)),
                        stats_a=st_a) for st_a, st_b in packed.stats]
     for report, profile in zip(reports, census(netlist, packed)):
-        yield check_report(netlist, report, profile), profile
+        yield check_report(netlist, report, profile, threshold), profile
 
 
 def compare(netlist: Netlist, target_a: WordStats, target_b: WordStats,
-            threshold: float = RARE_THRESHOLD, stream_len: int = 10_000,
-            seed: int = 1) -> RareNetReport:
+            threshold: float = RARE_THRESHOLD,
+            stream_len: int = DEFAULT_VECTORS,
+            seed: int = DEFAULT_SEED) -> RareNetReport:
     """Estimate, then simulate under matching stimulus, and score the error."""
     check_threshold(threshold)  # before any stream is generated
     # operand B draws from the next seed, so the two streams are independent
@@ -193,7 +195,7 @@ class SweepResult:
 
 
 def sweep_bp1(netlist: Netlist, rho: float, threshold: float, bp1_targets,
-              stream_len: int = 10_000, seed: int = 1,
+              stream_len: int = DEFAULT_VECTORS, seed: int = DEFAULT_SEED,
               mean: float = 0.0) -> SweepResult:
     """Score the estimator across operating points of increasing magnitude.
 
@@ -225,23 +227,12 @@ _REPORT_FIELDS = ("arch", "width", "rho", "sigma", "bp0", "bp1",
                   "threshold", "p_est", "p_sim", "error")
 
 
-def _report_row(report: RareNetReport) -> dict:
-    return {
-        "arch": report.arch, "width": report.width,
-        "rho": report.stats_a.rho if report.stats_a else "",
-        "sigma": report.stats_a.std_dev if report.stats_a else "",
-        "bp0": report.bp.bp0, "bp1": report.bp.bp1,
-        "threshold": report.threshold,
-        "p_est": report.estimated_count,
-        "p_sim": "" if report.simulated_count is None else report.simulated_count,
-        "error": "" if report.abs_error is None else report.abs_error,
-    }
-
-
 def write_report_csv(reports, path) -> None:
+    """One row per scored report; `rho` and `sigma` are operand A's."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_REPORT_FIELDS)
-        writer.writeheader()
-        for rep in reports:
-            writer.writerow(_report_row(rep))
+        writer = csv.writer(fh)
+        writer.writerow(_REPORT_FIELDS)
+        writer.writerows((r.arch, r.width, r.stats_a.rho, r.stats_a.std_dev,
+                          r.bp.bp0, r.bp.bp1, r.threshold, r.estimated_count,
+                          r.simulated_count, r.abs_error) for r in reports)
 

@@ -11,6 +11,7 @@ identical stream (numpy PCG64).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -22,6 +23,10 @@ from . import textscan
 from .stats import WordStats
 
 _WARMUP = 100
+
+# the stream length and seed of every command and config that omits them
+DEFAULT_VECTORS = 10_000
+DEFAULT_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,8 @@ def unit_chain(rho: float, length: int, seed: int) -> np.ndarray:
     """`length` stationary samples of the unit-variance AR(1) chain."""
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(length + _WARMUP)
     scale = math.sqrt(max(0.0, 1.0 - rho * rho))
@@ -86,8 +93,8 @@ def dump_stream(stream: StimulusStream) -> str:
             + "".join(lines.tolist()))
 
 
-# key -> (the ASCII form of its value, its parser): an integer, or a number
-# as an integer or in a form `repr(float)` writes
+# the header's ASCII forms: an integer, and a number as an integer or in a
+# form `repr(float)` writes; key -> (the form of its value, its parser)
 _INTEGER = re.compile("-?[0-9]+")
 _NUMBER = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan")
 _HEADER = {"width": (_INTEGER, int), "seed": (_INTEGER, int),
@@ -96,12 +103,28 @@ _HEADER = {"width": (_INTEGER, int), "seed": (_INTEGER, int),
 _DIGITS = 19  # 2**63 has 19 decimal digits
 
 
+def integer(text: str) -> int:
+    """An integer typed in a config value or a flag, in the header's form."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def number(text: str) -> float:
+    """A number typed in a config value or a flag: ASCII with no `_`, read
+    by `float`, so `1e4`, `.5` and `nan` pass."""
+    if text.isascii() and "_" not in text:
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise ValueError(f"{text!r} is not a number")
+
+
 def parse_stream(text: str) -> StimulusStream:
     """Read the text format: a header line, then one word per line.
 
     The header is the items `width=<int> seed=<int> mu=<number>
-    sigma=<number> rho=<number>`, separated by whitespace, each once and in
-    any order.  Values are ASCII: an integer is `-?[0-9]+`, and a number is
+    sigma=<number> rho=<number>`, separated by ASCII spaces or tabs, each
+    once and in any order.  Values are ASCII: an integer is `-?[0-9]+`, and a number is
     an integer or a form `repr(float)` writes, such as `0.5`, `-0.0`,
     `1e-05` or `nan`.  A word line is `-?[0-9]{1,19}` and nothing else;
     lines end in `\\n`, and whitespace around the whole text is ignored.
@@ -113,7 +136,7 @@ def parse_stream(text: str) -> StimulusStream:
         raise ValueError("empty stream file")
     head = bytes(raw[:ends[0]]).decode("utf-8", "surrogatepass")
     header = {}
-    for item in head.split():
+    for item in re.findall("[^ \t]+", head):
         key, eq, value = item.partition("=")
         if not eq:
             raise ValueError(f"stream header item {item!r} is not key=value")
@@ -144,7 +167,7 @@ def parse_stream(text: str) -> StimulusStream:
     if bad.any():
         k = int(np.argmax(bad))
         line = bytes(raw[starts[k]:ends[k]]).decode("utf-8", "surrogatepass")
-        if not re.fullmatch("-?[0-9]+", line):
+        if not _INTEGER.fullmatch(line):
             reason = "not a decimal integer"
         elif len(line.lstrip("-")) > _DIGITS:
             reason = f"more than {_DIGITS} digits, beyond the 64-bit range"

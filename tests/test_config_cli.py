@@ -27,7 +27,7 @@ from rarenet.estimate import (compare, estimate_rare_nets, sweep_bp1,
                               write_report_csv)
 from rarenet.netlist import load_netlist
 from rarenet.simulate import RARE_THRESHOLD
-from rarenet.stimulus import load_stream
+from rarenet.stimulus import DEFAULT_SEED, DEFAULT_VECTORS, load_stream
 
 from conftest import ADDERS, MULTS, mutations
 
@@ -61,6 +61,16 @@ def test_config_parse_accepts_comments_and_blanks():
     assert cfg.architectures == (("RCA", 16),)
     assert cfg.vectors == 50
     assert cfg.thresholds == (RARE_THRESHOLD,)
+
+
+def test_typed_values_keep_their_float_forms(capsys):
+    cfg = parse("architectures = RCA:8\nrho_a = .5\nrho_b = -2.5e-1\n"
+                "thresholds = 1e-4\nvectors = 0100\nbp1_targets = 3, 4\n")
+    assert (cfg.rho_a, cfg.rho_b, cfg.thresholds, cfg.vectors,
+            cfg.bp1_targets) == (0.5, -0.25, (1e-4,), 100, (3, 4))
+    assert main(["estimate", "--arch", "RCA:16", "--std", "1.024e3",
+                 "--rho", ".99"]) == 0
+    assert "bp1=11" in capsys.readouterr().out
 
 
 def test_config_parse_rejects_bad_input():
@@ -266,6 +276,29 @@ def test_cli_malformed_arch_names_the_form(capsys):
     assert exc.value.code == 2
     assert ("argument --arch: 'RCA' is not KIND:WIDTH"
             in capsys.readouterr().err)
+    # a typed integer is ASCII `-?[0-9]+`; a typed number is ASCII, no `_`
+    estimate = ["estimate", "--std", "1024", "--rho", "0.99"]
+    for argv, message in (
+            ([*estimate, "--arch", "RCA:1_6"],
+             "argument --arch: 'RCA:1_6' is not KIND:WIDTH"),
+            ([*estimate, "--arch", "RCA:\u0661\u0666"],
+             "argument --arch: 'RCA:\u0661\u0666' is not KIND:WIDTH"),
+            (["estimate", "--arch", "RCA:16", "--std", "1_024",
+              "--rho", "0.99"], "argument --std: invalid number value: '1_024'"),
+            (["estimate", "--arch", "RCA:16", "--std", "1024",
+              "--rho", "0.9_9"], "argument --rho: invalid number value: '0.9_9'"),
+            (["gen-vectors", "--width", "1_6", "--std", "1", "--rho", "0",
+              "--out", "s.txt"], "argument --width: invalid integer value: '1_6'"),
+            ([*SIM_COMMANDS["compare"], "--vectors", "1e4"],
+             "argument --vectors: invalid integer value: '1e4'"),
+            ([*SIM_COMMANDS["compare"], "--seed", "\u0663"],
+             "argument --seed: invalid integer value: '\u0663'"),
+            ([*SIM_COMMANDS["sweep"], "--bp1", "+4"],
+             "argument --bp1: invalid integer value: '+4'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err, argv
 
 
 def test_cli_estimate_prints_summary(capsys):
@@ -397,10 +430,22 @@ def test_rare_threshold_has_one_default():
         assert parser.parse_args(argv).threshold == RARE_THRESHOLD
     cfg = ExperimentConfig(architectures=(("RCA", 8),))
     assert cfg.thresholds == (RARE_THRESHOLD,)
-    for fn in (compare, estimate_rare_nets):
+    for fn in (compare,):
         default = inspect.signature(fn).parameters["threshold"].default
         assert default == RARE_THRESHOLD
     assert all(hasattr(rarenet, name) for name in rarenet.__all__)
+    # so have the stream length and the seed
+    defaults = (DEFAULT_VECTORS, DEFAULT_SEED)
+    gen = ["gen-vectors", "--width", "8", "--std", "1", "--rho", "0",
+           "--out", "s.txt"]
+    for argv in (gen, *SIM_COMMANDS.values()):
+        args = parser.parse_args(argv)
+        assert (args.vectors, args.seed) == defaults, argv[0]
+    assert (cfg.vectors, cfg.seed) == defaults
+    for fn in (compare, sweep_bp1):
+        params = inspect.signature(fn).parameters
+        assert (params["stream_len"].default,
+                params["seed"].default) == defaults, fn.__name__
 
 
 def test_cli_estimate_paths_check_the_range(capsys):
@@ -444,11 +489,14 @@ def test_cli_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("arch=rca width=16 bp0=8 bp1=11")
 
 
-def test_cli_rejects_invalid_stats():
+def test_cli_rejects_invalid_stats(capsys):
     assert main(["estimate", "--arch", "RCA:16", "--std", "-5",
                  "--rho", "0.99"]) == 2
     assert main(["estimate", "--arch", "RCA:16", "--std", "1024",
                  "--rho", "1.5"]) == 2
+    capsys.readouterr()
+    assert main([*SIM_COMMANDS["compare"], "--seed", "-3"]) == 2
+    assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -587,6 +635,20 @@ def test_cli_simulate_bad_stream_header_exits_2(tmp_path, capsys):
     ("architectures = RCA:8\nrho_a = high\n", "line 2: rho_a: "),
     ("# batch\narchitectures = RCA\n",
      "line 2: architectures: 'RCA' is not KIND:WIDTH$"),
+    ("architectures = RCA:1_6\n",
+     "line 1: architectures: 'RCA:1_6' is not KIND:WIDTH$"),
+    ("architectures = RCA:\u0661\u0666\n",
+     "line 1: architectures: 'RCA:\u0661\u0666' is not KIND:WIDTH$"),
+    ("architectures = RCA:8\nvectors = 1_000\n",
+     "line 2: vectors: '1_000' is not an integer$"),
+    ("architectures = RCA:8\nseed = \u0663\n",
+     "line 2: seed: '\u0663' is not an integer$"),
+    ("architectures = RCA:8\nbp1_targets = 3, +4\n",
+     "line 2: bp1_targets: '\\+4' is not an integer$"),
+    ("architectures = RCA:8\nrho_a = 0.9_9\n",
+     "line 2: rho_a: '0.9_9' is not a number$"),
+    ("architectures = RCA:8\nthresholds = \u0661e-4\n",
+     "line 2: thresholds: '\u0661e-4' is not a number$"),
 ])
 def test_config_value_error_names_key_and_line(text, message):
     with pytest.raises(ConfigError, match=f"^{message}"):

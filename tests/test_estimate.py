@@ -200,19 +200,19 @@ def test_offset_stimulus_localizes_rarity_to_high_slices(netlist_of):
     st = WordStats(4096.0, sigma, 0.99, 16)
     for kind in ADDERS:
         nl = netlist_of(kind, 16)
-        rep = estimate_rare_nets(nl, breakpoints(st), breakpoints(st), 1e-5)
-        sim = simulated_rare(nl, st, rep)
+        rep = estimate_rare_nets(nl, breakpoints(st), breakpoints(st))
+        sim = simulated_rare(nl, st, rep, 1e-5)
         assert sim, kind
         inside = len(sim & rep.estimated_nets)
         # prefix-tree adders keep a few rare carry nets below the boundary
         assert inside / len(sim) >= 0.85, (kind, inside, len(sim))
 
 
-def simulated_rare(nl, st, rep):
+def simulated_rare(nl, st, rep, threshold):
     from rarenet.simulate import simulate
 
     prof = simulate(nl, generate(st, 10_000, 1), generate(st, 10_000, 2))
-    return check_report(nl, rep, prof).simulated_nets
+    return check_report(nl, rep, prof, threshold).simulated_nets
 
 
 def test_degenerate_threshold_marks_everything_rare(netlist_of):
@@ -297,6 +297,15 @@ def test_operating_points_share_one_chain_per_operand(monkeypatch):
             assert np.array_equal(got.words, ref.words)
             assert (got.seed, got.target) == (ref.seed, ref.target)
             assert dump_stream(got) == dump_stream(ref)
+
+def test_only_scoring_records_the_threshold(netlist_of):
+    nl = netlist_of("RCA", 8)
+    st = WordStats(0.0, 16.0, 0.9, 8)
+    assert estimate_rare_nets(nl, breakpoints(st),
+                              breakpoints(st)).threshold is None
+    rep = compare(nl, st, st, threshold=1e-3, stream_len=500, seed=1)
+    assert rep.threshold == 1e-3
+
 
 def test_report_csv_round_trip(tmp_path, netlist_of):
     nl = netlist_of("RCA", 8)

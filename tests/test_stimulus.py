@@ -309,13 +309,22 @@ def test_parse_header_items_may_come_in_any_order():
     assert s.words.tolist() == [3, -4]
 
 
+def test_header_items_are_separated_by_ascii_spaces_or_tabs():
+    s = parse_stream("width=8\t seed=4  mu=0.5\tsigma=1.0 rho=0.5\n3\n")
+    assert (s.bit_width, s.seed, s.target.mean) == (8, 4, 0.5)
+    with pytest.raises(ValueError, match=r"^stream header "
+                       r"width='8\\xa0seed=4' is not an integer$"):
+        parse_stream("width=8\u00a0seed=4 mu=0.5 sigma=1.0 rho=0.5\n3\n")
+
+
 def test_error_names_the_first_bad_line_whatever_its_fault():
     head = HEADER.replace("width=64", "width=16")
     # a word outside the header width before a junk line is named first
     with pytest.raises(ValueError,
                        match="^stream line 3: word outside the 16-bit range$"):
         parse_stream(f"{head}\n1\n70000\nx\n")
-    # a non-ASCII header does not shift the line the error names: its
-    # values are ASCII, but any whitespace separates its items
-    with pytest.raises(ValueError, match="^stream line 3: not a decimal"):
+    # only ASCII spaces and tabs separate header items, so a U+3000
+    # separator joins two items into one bad value, named before any word
+    with pytest.raises(ValueError, match=r"^stream header "
+                       r"seed='1\\u3000mu=0\.0' is not an integer$"):
         parse_stream(f"{head}\n1\n1x\n".replace(" mu=", "\u3000mu="))
