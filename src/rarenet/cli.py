@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name, run, help, arch=True):
-        """A subcommand that `run` executes, with `--arch` unless told not to."""
+        """A subcommand that `run` executes; it takes `--arch` if `arch`."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         if arch:

@@ -124,9 +124,9 @@ def parse_stream(text: str) -> StimulusStream:
 
     The header is the items `width=<int> seed=<int> mu=<number>
     sigma=<number> rho=<number>`, separated by ASCII spaces or tabs, each
-    once and in any order.  Values are ASCII: an integer is `-?[0-9]+`, and a number is
-    an integer or a form `repr(float)` writes, such as `0.5`, `-0.0`,
-    `1e-05` or `nan`.  A word line is `-?[0-9]{1,19}` and nothing else;
+    once and in any order.  Values are ASCII: an integer is `-?[0-9]+`,
+    and a number is an integer or a form `repr(float)` writes, such as
+    `0.5`, `-0.0`, `1e-05` or `nan`.  A word line is `-?[0-9]{1,19}` and nothing else;
     lines end in `\\n`, and whitespace around the whole text is ignored.
     Any other header or word line raises `ValueError`; a word error names
     the first bad file line.

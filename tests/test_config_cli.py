@@ -284,11 +284,14 @@ def test_cli_malformed_arch_names_the_form(capsys):
             ([*estimate, "--arch", "RCA:\u0661\u0666"],
              "argument --arch: 'RCA:\u0661\u0666' is not KIND:WIDTH"),
             (["estimate", "--arch", "RCA:16", "--std", "1_024",
-              "--rho", "0.99"], "argument --std: invalid number value: '1_024'"),
+              "--rho", "0.99"],
+             "argument --std: invalid number value: '1_024'"),
             (["estimate", "--arch", "RCA:16", "--std", "1024",
-              "--rho", "0.9_9"], "argument --rho: invalid number value: '0.9_9'"),
+              "--rho", "0.9_9"],
+             "argument --rho: invalid number value: '0.9_9'"),
             (["gen-vectors", "--width", "1_6", "--std", "1", "--rho", "0",
-              "--out", "s.txt"], "argument --width: invalid integer value: '1_6'"),
+              "--out", "s.txt"],
+             "argument --width: invalid integer value: '1_6'"),
             ([*SIM_COMMANDS["compare"], "--vectors", "1e4"],
              "argument --vectors: invalid integer value: '1e4'"),
             ([*SIM_COMMANDS["compare"], "--seed", "\u0663"],
