@@ -24,7 +24,7 @@ from .simulate import (RARE_THRESHOLD, PackedPoints, check_threshold,
                        export_activity, pack_points, simulate)
 from .stats import WordStats, breakpoints
 from .stimulus import (DEFAULT_SEED, DEFAULT_VECTORS, check_range, generate,
-                       integer, load_stream, number, save_stream)
+                       integer, load_stream, number, save_stream, unit_chain)
 
 
 def _arch(item: str) -> tuple[str, int]:
@@ -219,14 +219,13 @@ def _cmd_locate(args) -> int:
 
 # --------------------------------------------------------------- replicate
 
-def _pack_streams(cfg: ExperimentConfig, width: int, targets, out: Path,
+def _pack_streams(width: int, points, out: Path,
                   manifest: list[str]) -> tuple[list[int], PackedPoints]:
-    """Generate, save and pack the operating points of one operand width.
+    """Save and pack the `operating_points` of one operand width.
 
     Returns the targets that fit and their packed operands; the streams
     themselves are freed on return."""
-    points = list(operating_points(width, targets, cfg.rho_a, cfg.rho_b,
-                                   cfg.vectors, cfg.seed))
+    points = list(points)
     for t, sa, sb in points:
         for tag, stream in (("a", sa), ("b", sb)):
             rel = f"streams/w{width}_bp{t}_{tag}.txt"
@@ -267,11 +266,20 @@ def run(cfg: ExperimentConfig) -> int:
             manifest.append(rel)
 
         # one stream pair per (width, target), packed once and shared by the
-        # width's architectures; a width's rows are freed before the next's
+        # width's architectures; a width's rows are freed before the next's.
+        # Every width quantises the same two chains, which the last width's
+        # `points` holds alone, so they go once its streams exist.
         (threshold,) = cfg.thresholds
         summary = {}
+        chains = (unit_chain(cfg.rho_a, cfg.vectors, cfg.seed),
+                  unit_chain(cfg.rho_b, cfg.vectors, cfg.seed + 1))
+        last = max(width_targets)
         for width, wanted in width_targets.items():
-            targets, packed = _pack_streams(cfg, width, wanted, out, manifest)
+            points = operating_points(width, wanted, cfg.rho_a, cfg.rho_b,
+                                      cfg.vectors, cfg.seed, chains=chains)
+            if width == last:
+                del chains
+            targets, packed = _pack_streams(width, points, out, manifest)
             for kind in (k for k, w in cfg.architectures if w == width):
                 nl = netlists[(kind, width)]
                 tag = f"{kind.lower()}{width}"

@@ -2,9 +2,10 @@
 
 Grammar: one `key=value` pair per line; blank lines and lines starting
 with `#` are ignored, and a key may appear only once.  Lists are
-comma-separated; `architectures` and `bp1_targets` may not repeat an
-item.  Architectures are written `KIND:WIDTH`.  An integer is ASCII
-`-?[0-9]+`, and a number is ASCII text with no `_` that `float` reads.
+comma-separated; an empty value is the empty list, an empty item is an
+error, and `architectures` and `bp1_targets` may not repeat an item.
+Architectures are written `KIND:WIDTH`.  An integer is ASCII `-?[0-9]+`,
+and a number is ASCII text with no `_` that `float` reads.
 `parse(emit(cfg))` returns an equal config.
 
 Operand statistics are stored width-free: only each operand's lag-1
@@ -120,9 +121,11 @@ def parse(text: str) -> ExperimentConfig:
     kwargs = {}
     for key, (lineno, value) in raw.items():
         try:
-            kwargs[key] = (tuple(_PARSERS[key](item.strip())
-                                 for item in value.split(",") if item)
-                           if key in _LISTS else _PARSERS[key](value))
+            items = [i.strip() for i in value.split(",")] if value else []
+            if key in _LISTS and "" in items:
+                raise ValueError(f"{value!r} has an empty item")
+            kwargs[key] = (tuple(map(_PARSERS[key], items)) if key in _LISTS
+                           else _PARSERS[key](value))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     return ExperimentConfig(**kwargs)

@@ -144,18 +144,18 @@ def solve_sigma_for_bp1(bp1: int, rho: float) -> float:
 
 
 def operating_points(width: int, targets, rho_a: float, rho_b: float,
-                     vectors: int, seed: int, mean: float = 0.0):
+                     vectors: int, seed: int, mean: float = 0.0, chains=()):
     """Yield `(target, stream_a, stream_b)` per target, in sorted order.
 
     Each operand's sigma is solved from its own rho; a target whose
     mean +/- 3 sigma does not fit the word is skipped, and a repeated
     target raises `ValueError`.  All targets quantise one chain per operand
-    (B's from `seed + 1`), so each stream equals `generate`'s.
+    (B's from `seed + 1`), so each stream equals `generate`'s.  `chains`,
+    when given, is that pair, built by the caller with `unit_chain`.
     """
     targets = sorted(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"bp1 targets list a target twice: {targets}")
-    chains = ()
     for t in targets:
         pair = operand_stats(width, t, rho_a, rho_b, mean)
         if pair:

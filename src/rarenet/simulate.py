@@ -38,6 +38,7 @@ and nets made constant by the tie are excluded from the toggle census; see
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -220,14 +221,15 @@ def _chunks(netlist: Netlist, packed: PackedPoints):
         values[tied] = 0
         values[sources] = packed.rows[rows, chunk.lo:chunk.hi]
         view = list(values)
+        # `out` goes positionally: the keyword costs a third of a call
         for op, invert, first, second, out in program:
             dst = view[out]
             if second >= 0:
-                op(view[first], view[second], out=dst)
+                op(view[first], view[second], dst)
             else:
-                op(view[first], out=dst)
+                op(view[first], dst)
             if invert:
-                np.invert(dst, out=dst)
+                np.invert(dst, dst)
         yield values, chunk
 
 
@@ -280,9 +282,9 @@ def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
             d, c = diff[:m], pop[:m]
             # across a piece or row boundary this pairs unrelated words;
             # the wrap terms replace those
-            np.bitwise_xor(x[1:], x[:-1], out=d.reshape(-1)[1:])
+            np.bitwise_xor(x[1:], x[:-1], d.reshape(-1)[1:])
             d[:, offs] = wrap[r:r + m]
-            np.bitwise_count(d, out=c)
+            np.bitwise_count(d, c)
             np.add.reduceat(c, offs, axis=1, out=sums[r:r + m])
         counts[chunk.points] += sums.T
     dead = constant_nets(netlist)
@@ -310,10 +312,9 @@ def check_threshold(threshold: float) -> None:
 def rare_nets(profile: ToggleProfile, threshold: float) -> frozenset[int]:
     """Nets whose transition probability is at or below the threshold."""
     check_threshold(threshold)
-    return frozenset(
-        net for net in profile.toggles
-        if profile.probability(net) <= threshold
-    )
+    span = profile.vectors - 1  # `probability`'s divisor, without the call
+    return frozenset(net for net, t in profile.toggles.items()
+                     if t / span <= threshold)
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -327,21 +328,30 @@ def _csv_fields(texts):
             for s in texts]
 
 
-def export_activity(netlist: Netlist, profile: ToggleProfile, path) -> None:
-    """Write per-net activity as CSV, one row per net, sorted by net id.
-
-    The text is what `csv.writer` writes; per-net columns are built once.
-    """
+@functools.lru_cache(maxsize=1)
+def _activity_heads(netlist: Netlist) -> tuple[str, ...]:
+    """Each net's `net_id,net_name,block,slice,` CSV text, built once for
+    the points of one netlist; the memo holds the last netlist only."""
     inputs = netlist.primary_inputs
-    names = _csv_fields(netlist.net_names)
     blocks = ([""] * len(inputs)
               + list(map(_csv_fields(netlist.block_names).__getitem__,
                          netlist.blocks.tolist())))
     slices = [netlist.bit_slice(n) for n in inputs] + netlist.slices.tolist()
+    return tuple(f"{n},{name},{block},{s},"
+                 for n, (name, block, s) in enumerate(zip(
+                     _csv_fields(netlist.net_names), blocks, slices)))
+
+
+def export_activity(netlist: Netlist, profile: ToggleProfile, path) -> None:
+    """Write per-net activity as CSV, one row per net, sorted by net id.
+
+    The text is what `csv.writer` writes; per-net columns are built once
+    per netlist.
+    """
+    heads = _activity_heads(netlist)
     vectors = profile.vectors
     with open(path, "w", newline="") as fh:
         fh.write("net_id,net_name,block,slice,toggles,vectors,probability\r\n")
         fh.write("".join([
-            f"{n},{names[n]},{blocks[n]},{slices[n]},{t},{vectors},"
-            f"{t / (vectors - 1):.12f}\r\n"
+            f"{heads[n]}{t},{vectors},{t / (vectors - 1):.12f}\r\n"
             for n, t in sorted(profile.toggles.items())]))

@@ -63,9 +63,9 @@ def unit_chain(rho: float, length: int, seed: int) -> np.ndarray:
     scale = math.sqrt(max(0.0, 1.0 - rho * rho))
     # the recurrence runs on Python floats: the same IEEE operations in the
     # same order as elementwise numpy, without per-element array access
-    y = [float(w[0])]
+    y = [last := float(w[0])]
     for drive in (scale * w[1:]).tolist():
-        y.append(rho * y[-1] + drive)
+        y.append(last := rho * last + drive)
     return np.array(y[_WARMUP:])
 
 
@@ -86,7 +86,17 @@ def generate(target: WordStats, length: int, seed: int) -> StimulusStream:
 def dump_stream(stream: StimulusStream) -> str:
     """Serialize a stream to the text format; each distinct word is formatted once."""
     t = stream.target
-    values, index = np.unique(stream.words, return_inverse=True)
+    words = stream.words
+    lo = int(words.min(initial=0))  # 0 gives an empty stream a span too
+    span = int(words.max(initial=0)) - lo
+    if span < 1 << 16:  # every span up to 16 bits: an O(n) offset table
+        offsets = words - lo
+        present = np.zeros(span + 1, dtype=bool)
+        present[offsets] = True
+        values = np.flatnonzero(present) + lo
+        index = (np.cumsum(present) - 1)[offsets]
+    else:
+        values, index = np.unique(words, return_inverse=True)
     lines = np.array([f"{v}\n" for v in values.tolist()], dtype=object)[index]
     return (f"width={stream.bit_width} seed={stream.seed} "
             f"mu={t.mean!r} sigma={t.std_dev!r} rho={t.rho!r}\n"

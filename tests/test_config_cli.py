@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import inspect
+import itertools
 import math
 import re
 import runpy
@@ -23,11 +24,12 @@ from rarenet.config import (
     parse,
     save_config,
 )
-from rarenet.estimate import (compare, estimate_rare_nets, sweep_bp1,
-                              write_report_csv)
+from rarenet.estimate import (compare, estimate_rare_nets, operand_stats,
+                              sweep_bp1, write_report_csv)
 from rarenet.netlist import load_netlist
 from rarenet.simulate import RARE_THRESHOLD
-from rarenet.stimulus import DEFAULT_SEED, DEFAULT_VECTORS, load_stream
+from rarenet.stimulus import (DEFAULT_SEED, DEFAULT_VECTORS, dump_stream,
+                              generate, load_stream, unit_chain)
 
 from conftest import ADDERS, MULTS, mutations
 
@@ -82,6 +84,31 @@ def test_config_parse_rejects_bad_input():
         parse("architectures = RCA:16\nvectors = soon\n")
     with pytest.raises(ConfigError):
         parse("architectures = RCA:sixteen\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("architectures = RCA:8\nbp1_targets = ,\n",
+     "line 2: bp1_targets: ',' has an empty item$"),
+    ("architectures = RCA:8,,CKA:8\n",
+     "line 1: architectures: 'RCA:8,,CKA:8' has an empty item$"),
+    ("architectures = RCA:8\nbp1_targets = 3,,4\n",
+     "line 2: bp1_targets: '3,,4' has an empty item$"),
+    ("architectures = RCA:8\nthresholds = 1e-4,\n",
+     "line 2: thresholds: '1e-4,' has an empty item$"),
+    ("architectures = RCA:8\nbp1_targets = 3, ,4\n",
+     "line 2: bp1_targets: '3, ,4' has an empty item$"),
+])
+def test_config_empty_list_item_names_key_and_line(text, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse(text)
+
+
+def test_config_empty_list_value_is_the_default():
+    """`emit` writes `bp1_targets=` for the default sweep."""
+    cfg = small_config(bp1_targets=())
+    assert "\nbp1_targets=\n" in emit(cfg)
+    assert parse(emit(cfg)) == cfg
+    assert parse("architectures = RCA:8\nbp1_targets =\n").bp1_targets == ()
 
 
 def test_config_parse_rejects_repeated_key():
@@ -622,6 +649,34 @@ def test_replicate_packs_each_width_once_and_counts_each_netlist_once(
                  "--out", str(tmp_path / "out")]) == 0
     assert sorted(packed) == [8, 16]
     assert sorted(counted) == [("booth", 8, 3), ("cka", 16, 3), ("rca", 8, 3)]
+
+
+def test_replicate_builds_one_chain_pair_for_every_width(tmp_path,
+                                                         monkeypatch):
+    """Both widths quantise the same two AR(1) chains, yet every saved
+    stream is `generate`'s for its own target, word for word."""
+    from rarenet import estimate
+    built = []
+
+    def counting_chain(rho, length, seed):
+        built.append((rho, seed))
+        return unit_chain(rho, length, seed)
+
+    for module in (cli, estimate):
+        monkeypatch.setattr(module, "unit_chain", counting_chain)
+    cfg = small_config(architectures=(("RCA", 8), ("CKA", 16)),
+                       rho_a=0.99, rho_b=0.9, vectors=300, bp1_targets=(3, 5))
+    path = tmp_path / "run.cfg"
+    save_config(cfg, path)
+    out = tmp_path / "out"
+    assert main(["replicate", "--config", str(path), "--out", str(out)]) == 0
+    assert built == [(0.99, 5), (0.9, 6)]
+    assert len(list((out / "streams").iterdir())) == 8
+    for width, t in itertools.product((8, 16), (3, 5)):
+        for tag, st, seed in zip("ab", operand_stats(width, t, 0.99, 0.9),
+                                 (5, 6)):
+            text = (out / f"streams/w{width}_bp{t}_{tag}.txt").read_text()
+            assert text == dump_stream(generate(st, 300, seed))
 
 
 def test_cli_simulate_bad_stream_header_exits_2(tmp_path, capsys):

@@ -311,6 +311,28 @@ def test_activity_export_matches_csv_writer(tmp_path, netlist_of):
         assert path.read_bytes().decode() == ref
         assert all(q in ref for q in quoted)
 
+
+def test_activity_heads_follow_the_netlist_exported(tmp_path, netlist_of):
+    """Per-net heads are memoised per netlist: exporting A, then B, then A
+    again, where A and B share name and width but not net names, writes
+    each netlist's own rows."""
+    a = netlist_of("RCA", 4)
+    b = import_netlist(export_netlist(a).replace("net 14 FA1.xor0",
+                                                 'net 14 FA1,"renamed"'))
+    assert (a.name, a.width) == (b.name, b.width)
+    assert a.net_names != b.net_names
+    target = WordStats(0.0, 2.0, 0.5, 4)
+    prof = simulate(a, generate(target, 1000, 1), generate(target, 1000, 2))
+    texts = []
+    for k, nl in enumerate((a, b, a)):
+        path = tmp_path / f"activity{k}.csv"
+        export_activity(nl, prof, path)
+        texts.append(path.read_bytes().decode())
+        assert texts[-1] == _csv_writer_activity(nl, prof)
+    assert '"FA1,""renamed"""' in texts[1]
+    assert texts[0] == texts[2] != texts[1]
+
+
 # len(constant_nets) for every supported kind and width: the tied carry-in
 # and the gates it fixes; multipliers have no carry-in
 CONSTANT_NET_COUNTS = {

@@ -109,16 +109,37 @@ def _line_per_word(stream):
     return "\n".join([header, *map(str, stream.words.tolist())]) + "\n"
 
 
-@pytest.mark.parametrize("width", [2, 16, 64])
-def test_dump_stream_matches_line_per_word_format(width):
+def _counting_sorts(monkeypatch) -> list:
+    """Record each `np.unique` call, the sort of `dump_stream`'s wide path."""
+    sorts, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(a)
+                        or unique(*a, **kw))
+    return sorts
+
+
+@pytest.mark.parametrize("width", [2, 8, 16, 64])
+def test_dump_stream_matches_line_per_word_format(width, monkeypatch):
+    """Up to 16 bits the words are looked up in an offset table; a 64-bit
+    stream holding both int64 extremes spans too much for one and is
+    sorted, without ever forming `words - min`."""
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
     rng = np.random.default_rng(width)
     words = np.concatenate([[lo, hi, 0, -1, hi, lo, lo],
                             rng.integers(lo, hi, 300, endpoint=True)])
     target = WordStats(0.5, 0.25, -0.3, width)
+    sorts = _counting_sorts(monkeypatch)
     for ws in (words, words[:0]):
         stream = StimulusStream(ws.astype(np.int64), width, 11, target)
         assert dump_stream(stream) == _line_per_word(stream)
+    assert len(sorts) == (width == 64)
+
+
+def test_dump_stream_of_small_wide_words_uses_the_table(monkeypatch):
+    words = np.array([5, -3, 5, 0, -3, (1 << 15) - 1, -(1 << 15)], np.int64)
+    stream = StimulusStream(words, 64, 2, WordStats(0.0, 1.0, 0.5, 64))
+    sorts = _counting_sorts(monkeypatch)
+    assert dump_stream(stream) == _line_per_word(stream)
+    assert not sorts
 
 
 def test_parse_rejects_garbage():
