@@ -254,6 +254,8 @@ def run(cfg: ExperimentConfig) -> int:
             raise ConfigError(
                 f"no bp1 target of {list(targets)} fits the {width}-bit word "
                 f"at rho_a={cfg.rho_a}, rho_b={cfg.rho_b}")
+    # an unusable --out is one error, before any output or manifest
+    out.mkdir(parents=True, exist_ok=True)
     manifest: list[str] = []
     status = "complete"
     try:
@@ -307,7 +309,6 @@ def run(cfg: ExperimentConfig) -> int:
         status = "incomplete"
         return 1
     finally:
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "manifest.txt", "w") as fh:
             fh.write(f"status={status}\n")
             for rel in sorted(manifest):

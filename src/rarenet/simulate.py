@@ -14,22 +14,27 @@ piece of the next.
 
 `pack_points` unpacks the operand words into per-bit waveforms (two's
 complement) in that layout once; they depend on the streams alone, so
-one packing serves every netlist of the operand width.  The netlist is
-evaluated gate by gate in topological order, one numpy bitwise ufunc per
-gate over a whole row of a chunk.  A vector's predecessor is the same bit
-of the word before it in its piece; for a piece's first word it is one
-bit lower in the piece's last word, and bit 0 takes the point's previous
-vector carried from the chunk before.  So the census is a popcount of
-neighbouring words XOR-ed, with one wrap term per piece, summed per
-piece.  Only functional transitions are counted; there is no timing or
-glitch model.
+one packing serves every netlist of the operand width.  A netlist is
+evaluated over *windows*: runs of consecutive chunks of at most
+`WINDOW_WORDS` words whose (nets x words) rows take at most
+`WINDOW_BYTES`, and at least one chunk.  Gates go in topological order,
+one numpy bitwise ufunc per gate over a whole row of a window.  A
+vector's predecessor is the same bit of the word before it in its piece;
+for a piece's first word it is one bit lower in the piece's last word,
+and bit 0 takes the point's previous vector, bit 63 of the last word of
+the piece before (carried over from the window before for its first
+piece).  So the census is a popcount of neighbouring words XOR-ed, with
+one wrap term per piece, summed per point.  Only functional transitions
+are counted; there is no timing or glitch model.
 
-Every chunk reuses one buffer as a C-contiguous (nets x words) array, net
-k in row k, so the census's working memory is set by the netlist size and
-the chunk size, not by the vector or point count.  The packed operand
-rows hold 2 x width bits a vector, no more than the 64-bit stream words
-they are made from (`evaluate`, which returns whole waveforms, is the
-exception).
+Every window reuses one buffer as a C-contiguous (nets x words) array,
+net k in row k, so the census's working memory is set by the netlist
+size and the window budget, not by the vector or point count: 17 MB for
+the 4,143 nets of a 16-bit Vedic multiplier, whose windows are one chunk
+wide, and at most 1,024 words of rows for smaller netlists.  The packed
+operand rows hold 2 x width bits a vector, no more than the 64-bit
+stream words they are made from (`evaluate`, which returns whole
+waveforms, is the exception).
 
 Control pins without an operand mapping (the adder carry-in) are tied low,
 and nets made constant by the tie are excluded from the toggle census; see
@@ -50,7 +55,9 @@ from .netlist import GATE_ARITY, Netlist, operand_bit
 from .stats import WordStats
 from .stimulus import StimulusStream
 
-CHUNK_WORDS = 1024  # 65,536 vectors per chunk
+CHUNK_WORDS = 512  # 32,768 vectors per chunk
+WINDOW_WORDS = 1024  # at most this many words in a window
+WINDOW_BYTES = 24 << 20  # and at most this many bytes of net rows
 _CENSUS_WORDS = 30_000  # words per census block; 9 bytes of temporaries a word
 _WORD = np.dtype("<u8")
 
@@ -124,7 +131,9 @@ class Chunk(NamedTuple):
     """Words lo..hi-1 of the packed points, cut into pieces.
 
     Piece k starts at word `offsets[k]` of the chunk and runs to the next
-    piece; it holds vectors `starts[k]`.. of point `points[k]`.
+    piece; it holds vectors `starts[k]`.. of point `points[k]`.  A window
+    of consecutive chunks is a `Chunk` too, holding their pieces in order,
+    so one point may have several pieces in it.
     """
 
     lo: int
@@ -139,7 +148,8 @@ class PackedPoints:
     """The operand bits of a list of operating points, packed for a census.
 
     `rows[k * width + bit]` is operand k's (a, then b) bit over all
-    chunks' words.  Point p has `lengths[p]` vectors, and `stats[p]` holds
+    chunks' words; `chunks` cuts them every `CHUNK_WORDS` words, the grain
+    of a census window.  Point p has `lengths[p]` vectors, and `stats[p]` holds
     the target word statistics of its two streams.
     """
 
@@ -199,27 +209,39 @@ def pack_points(width: int, pairs) -> PackedPoints:
 
 
 def _chunks(netlist: Netlist, packed: PackedPoints):
-    """Evaluate the netlist over `packed` chunk by chunk.
+    """Evaluate the netlist over `packed` window by window.
 
-    Yields `(values, chunk)`: `values` is the (nets x words) array of the
-    chunk's words, row k net k; the next chunk overwrites it.
+    Yields `(values, window)`: `values` is the (nets x words) array of the
+    window's words, row k net k, and `window` the `Chunk` of its pieces;
+    the next window overwrites `values`.
     """
     if packed.width != netlist.width:
         raise ValueError("stream width does not match netlist operand width")
     nets = netlist.net_count
+    limit = min(WINDOW_WORDS, WINDOW_BYTES // (8 * nets))
+    runs = []
+    for chunk in packed.chunks:
+        if runs and chunk.hi - runs[-1][0].lo <= limit:
+            runs[-1].append(chunk)
+        else:
+            runs.append([chunk])
+    windows = [Chunk(run[0].lo, run[-1].hi,
+                     np.concatenate([c.points for c in run]),
+                     np.concatenate([c.offsets + c.lo - run[0].lo for c in run]),
+                     np.concatenate([c.starts for c in run])) for run in runs]
     tied, pins = _input_pins(netlist)
     sources, rows = list(pins), list(pins.values())
     program = [(*_GATES[kind], first, second, net)
                for net, kind, (first, second) in zip(
                    netlist.gate_nets, netlist.kinds.tolist(),
                    netlist.ins.tolist())]
-    buf = np.empty(nets * max((c.hi - c.lo for c in packed.chunks), default=0),
+    buf = np.empty(nets * max((w.hi - w.lo for w in windows), default=0),
                    _WORD)
-    for chunk in packed.chunks:
-        values = buf[:nets * (chunk.hi - chunk.lo)].reshape(nets, -1)
-        # rows move when the chunk width changes, so tie the pins every chunk
+    for window in windows:
+        values = buf[:nets * (window.hi - window.lo)].reshape(nets, -1)
+        # rows move when the window width changes, so tie the pins every window
         values[tied] = 0
-        values[sources] = packed.rows[rows, chunk.lo:chunk.hi]
+        values[sources] = packed.rows[rows, window.lo:window.hi]
         view = list(values)
         # `out` goes positionally: the keyword costs a third of a call
         for op, invert, first, second, out in program:
@@ -230,7 +252,7 @@ def _chunks(netlist: Netlist, packed: PackedPoints):
                 op(view[first], dst)
             if invert:
                 np.invert(dst, dst)
-        yield values, chunk
+        yield values, window
 
 
 def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
@@ -241,13 +263,15 @@ def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     """
     packed = pack_points(a.bit_width, [(a, b)])
     waves = np.empty((netlist.net_count, len(a.words)), np.uint8)
-    for values, chunk in _chunks(netlist, packed):
-        # one point: each chunk is one piece
-        (start,) = chunk.starts
-        stop = min(start + 64 * values.shape[1], len(a.words))
-        bits = np.unpackbits(values.view(np.uint8).reshape(len(values), -1, 8),
-                             axis=2, bitorder="little").transpose(0, 2, 1)
-        waves[:, start:stop] = bits.reshape(len(values), -1)[:, :stop - start]
+    for values, window in _chunks(netlist, packed):
+        ends = [*window.offsets[1:], values.shape[1]]
+        # one point: each piece unpacks with its own stride
+        for o, e, start in zip(window.offsets, ends, window.starts):
+            stop = min(start + 64 * (e - o), len(a.words))
+            bits = np.unpackbits(
+                values[:, o:e].view(np.uint8).reshape(len(values), -1, 8),
+                axis=2, bitorder="little").transpose(0, 2, 1)
+            waves[:, start:stop] = bits.reshape(len(values), -1)[:, :stop - start]
     return dict(enumerate(waves))
 
 
@@ -259,20 +283,24 @@ def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
     """
     nets = netlist.net_count
     counts = np.zeros((len(packed.lengths), nets), np.int64)
-    # each row's last vector of the chunk before, as bit 0: the predecessor
-    # of vector 0 when the chunk's first piece goes on with the same point
-    carry = np.zeros(nets, _WORD)
-    for values, chunk in _chunks(netlist, packed):
+    # each row's last word of the window before: its bit 63 is the
+    # predecessor of vector 0 when the window's first piece goes on a point
+    carry = np.zeros((nets, 1), _WORD)
+    for values, window in _chunks(netlist, packed):
         nwords = values.shape[1]
-        offs = chunk.offsets
-        # per piece: vector j*W's predecessor is bit j - 1 of its last word
-        wrap = values[:, [*offs[1:] - 1, nwords - 1]] << 1
+        offs = window.offsets
+        last = values[:, [*offs[1:] - 1, nwords - 1]]  # each piece's last word
+        # per piece: vector j*W's predecessor is bit j - 1 of its last word,
+        # and vector 0's is bit 63 of the last word of the piece before
+        wrap = last << 1
         wrap ^= values[:, offs]
-        wrap[:, 0] ^= carry
+        wrap ^= np.hstack([carry, last[:, :-1]]) >> 63
         # a point's first vector has no predecessor: clear bit 0
-        wrap &= np.where(chunk.starts == 0, ~_WORD.type(1), ~_WORD.type(0))
-        np.right_shift(values[:, -1], 63, out=carry)
-        sums = np.empty((nets, len(offs)), np.uint32)  # per row and piece
+        wrap &= np.where(window.starts == 0, ~_WORD.type(1), ~_WORD.type(0))
+        carry = last[:, -1:]
+        # a point's pieces are consecutive: sum from its first piece on
+        firsts = np.flatnonzero(np.diff(window.points, prepend=-1))
+        sums = np.empty((nets, len(firsts)), np.uint32)  # per row and point
         block = max(1, _CENSUS_WORDS // nwords)
         diff = np.empty((block, nwords), _WORD)
         pop = np.empty((block, nwords), np.uint8)
@@ -285,8 +313,8 @@ def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
             np.bitwise_xor(x[1:], x[:-1], d.reshape(-1)[1:])
             d[:, offs] = wrap[r:r + m]
             np.bitwise_count(d, c)
-            np.add.reduceat(c, offs, axis=1, out=sums[r:r + m])
-        counts[chunk.points] += sums.T
+            np.add.reduceat(c, offs[firsts], axis=1, out=sums[r:r + m])
+        counts[window.points[firsts]] += sums.T
     dead = constant_nets(netlist)
     live = [net for net in range(nets) if net not in dead]
     return (ToggleProfile(vectors, dict(zip(live, row[live].tolist())))

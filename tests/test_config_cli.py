@@ -723,3 +723,16 @@ def test_cli_replicate_width_with_no_fitting_target_exits_2(tmp_path, capsys):
     assert main(["replicate", "--config", str(path), "--out", str(out)]) == 2
     assert "no bp1 target of [12] fits the 8-bit word" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rel", ["taken", "taken/sub"])
+def test_cli_replicate_unusable_out_is_one_error(tmp_path, capsys, rel):
+    # --out is an existing file, or a path through one
+    path = tmp_path / "run.cfg"
+    save_config(small_config(vectors=200), path)
+    (tmp_path / "taken").write_text("kept\n")
+    assert main(["replicate", "--config", str(path),
+                 "--out", str(tmp_path / rel)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.count("error:"), err.count("\n")) == ("", 1, 1), err
+    assert (tmp_path / "taken").read_text() == "kept\n"

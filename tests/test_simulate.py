@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from rarenet.archlib import ALL_KINDS
-from rarenet.simulate import (CHUNK_WORDS, ToggleProfile, census,
-                              constant_nets, evaluate, export_activity,
-                              pack_points, rare_nets, simulate)
+from rarenet.simulate import (CHUNK_WORDS, WINDOW_BYTES, WINDOW_WORDS,
+                              ToggleProfile, _chunks, census, constant_nets,
+                              evaluate, export_activity, pack_points,
+                              rare_nets, simulate)
 from rarenet.netlist import Netlist, export_netlist, import_netlist
 from rarenet.stats import WordStats
 from rarenet.stimulus import generate
@@ -89,7 +90,7 @@ def test_waveforms_match_reference_width_8_random(kind, vectors, netlist_of):
         assert as_int(wave) == ref[net]
 
 
-# 65,666 vectors: a second chunk of three words, the last one padded
+# 65,666 vectors: a third chunk of three words, the last one padded
 @pytest.mark.parametrize("vectors", [10, 65_536 + 130])
 def test_toggle_counts_hand_cases(vectors, netlist_of):
     nl = netlist_of("RCA", 4)
@@ -137,15 +138,17 @@ def test_toggle_count_matches_reference(kind, vectors, netlist_of):
     assert_toggles_match_reference(netlist_of(kind, 8), vectors)
 
 
-# one vector past the first chunk: the census carries into a chunk of one
+# One vector past the first chunk: the census carries into a chunk of one
 # vector; 130 past it: a last chunk of three words, the last one padded;
-# exactly two chunks: no padding, and the carry meets a full chunk
+# exactly two chunks: no padding, and the carry meets a full chunk.  A
+# 4-bit netlist's window is WINDOW_WORDS wide, so the chunk cases carry
+# within a window and the same cases past a whole window carry across two.
 @pytest.mark.parametrize("kind,vectors", [
-    ("RCA", 65_537), ("RCA", 65_536 + 130), ("ARRAY", 65_536 + 130),
-    ("RCA", 131_072)])
+    (kind, span + extra) for span in (CHUNK_WORDS * 64, WINDOW_WORDS * 64)
+    for kind, extra in (("RCA", 1), ("RCA", 130), ("ARRAY", 130),
+                        ("RCA", span))])
 def test_toggle_count_matches_reference_across_chunks(kind, vectors,
                                                       netlist_of):
-    assert CHUNK_WORDS * 64 == 65_536
     assert_toggles_match_reference(netlist_of(kind, 4), vectors)
 
 
@@ -181,6 +184,33 @@ def test_census_of_unequal_points_matches_each_point(kind, netlist_of,
         assert_profile_matches_reference(nl, a.words, b.words, prof)
 
 
+# the points above under a budget of 0, 1 or 2 chunks of 3 words: a window
+# holds at least one chunk, so 0 and 1 give one-chunk windows (the default
+# budget gives one window of all five chunks)
+@pytest.mark.parametrize("chunks,widths", [
+    (0, [3, 3, 3, 3, 1]), (1, [3, 3, 3, 3, 1]), (2, [6, 6, 1])],
+    ids=["budget0", "budget1", "budget2"])
+@pytest.mark.parametrize("kind", ["CSA", "ARRAY"])
+def test_census_windows_match_each_point(kind, chunks, widths, netlist_of,
+                                         monkeypatch):
+    module = sys.modules["rarenet.simulate"]
+    monkeypatch.setattr(module, "CHUNK_WORDS", 3)
+    nl = netlist_of(kind, 8)
+    monkeypatch.setattr(module, "WINDOW_BYTES", nl.net_count * 8 * 3 * chunks)
+    rng = np.random.default_rng(31)
+    pairs = [random_pair(8, n, rng) for n in (2, 63, 64, 65, 500)]
+    packed = pack_points(8, pairs)
+    assert [w.hi - w.lo for _, w in _chunks(nl, packed)] == widths
+    for (a, b), prof in zip(pairs, census(nl, packed), strict=True):
+        assert prof == simulate(nl, a, b)
+        assert_profile_matches_reference(nl, a.words, b.words, prof)
+    # the 500-vector point alone: 8 words in pieces of 3, 3 and 2 words
+    a, b = pairs[-1]
+    ref = bigint_reference(nl, a.words, b.words)
+    got = evaluate(nl, a, b)
+    assert all(as_int(wave) == ref[net] for net, wave in got.items())
+
+
 def test_census_memory_is_bounded_in_point_count(netlist_of):
     nl = netlist_of("VEDIC", 16)
     rng = np.random.default_rng(7)
@@ -213,6 +243,9 @@ def test_simulate_memory_is_bounded_in_vector_count(netlist_of):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+    # the window buffer, plus 4 MiB for the packed rows, the gate program
+    # and the row views (about 2.4 MB of it here)
+    assert peaks[0] <= WINDOW_BYTES + (4 << 20), peaks
 
 
 def test_constant_nets_from_tied_carry_in(netlist_of):
