@@ -16,25 +16,30 @@ piece of the next.
 complement) in that layout once; they depend on the streams alone, so
 one packing serves every netlist of the operand width.  A netlist is
 evaluated over *windows*: runs of consecutive chunks of at most
-`WINDOW_WORDS` words whose (nets x words) rows take at most
-`WINDOW_BYTES`, and at least one chunk.  Gates go in topological order,
-one numpy bitwise ufunc per gate over a whole row of a window.  A
-vector's predecessor is the same bit of the word before it in its piece;
-for a piece's first word it is one bit lower in the piece's last word,
-and bit 0 takes the point's previous vector, bit 63 of the last word of
-the piece before (carried over from the window before for its first
-piece).  So the census is a popcount of neighbouring words XOR-ed, with
-one wrap term per piece, summed per point.  Only functional transitions
-are counted; there is no timing or glitch model.
+`WINDOW_WORDS` words whose buffer rows take at most `WINDOW_BYTES`, and
+at least one chunk.  Gates go in topological order, one numpy bitwise
+ufunc per gate over a whole row of a window.  A vector's predecessor is
+the same bit of the word before it in its piece; for a piece's first
+word it is one bit lower in the piece's last word, and bit 0 takes the
+point's previous vector, bit 63 of the last word of the piece before
+(carried over from the window before for its first piece).  So the
+census is a popcount of neighbouring words XOR-ed, with one wrap term
+per piece, summed per point.  Only functional transitions are counted;
+there is no timing or glitch model.
 
-Every window reuses one buffer as a C-contiguous (nets x words) array,
-net k in row k, so the census's working memory is set by the netlist
-size and the window budget, not by the vector or point count: 17 MB for
-the 4,143 nets of a 16-bit Vedic multiplier, whose windows are one chunk
-wide, and at most 1,024 words of rows for smaller netlists.  The packed
-operand rows hold 2 x width bits a vector, no more than the 64-bit
-stream words they are made from (`evaluate`, which returns whole
-waveforms, is the exception).
+Every window reuses one buffer, the *pool*, as a C-contiguous
+(rows x words) array.  Primary input k keeps row k.  Gates go in *pages*
+of `PAGE` consecutive gates; each page takes a slot of `PAGE` rows,
+handed on to a later page once every reader of its nets has run (linear
+scan over each page's last reader), and is counted right after its last
+gate, while its rows are in cache.  So the census's working memory is
+set by the nets live at once and the window budget, not by the net,
+vector or point count: the 2,584 nets of a 16-bit Dadda multiplier take
+1,120 rows (8.75 MiB at 1,024 words), the largest pool, and the 4,143 of
+a 16-bit Vedic multiplier 928 rows; every built-in netlist gets
+1,024-word windows.  The packed operand rows hold 2 x width bits a
+vector, no more than the 64-bit stream words they are made from
+(`evaluate`, which returns whole waveforms, is the exception).
 
 Control pins without an operand mapping (the adder carry-in) are tied low,
 and nets made constant by the tie are excluded from the toggle census; see
@@ -44,6 +49,7 @@ and nets made constant by the tie are excluded from the toggle census; see
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
@@ -57,8 +63,8 @@ from .stimulus import StimulusStream
 
 CHUNK_WORDS = 512  # 32,768 vectors per chunk
 WINDOW_WORDS = 1024  # at most this many words in a window
-WINDOW_BYTES = 24 << 20  # and at most this many bytes of net rows
-_CENSUS_WORDS = 30_000  # words per census block; 9 bytes of temporaries a word
+WINDOW_BYTES = 24 << 20  # and at most this many bytes of buffer rows
+PAGE = 32  # gates per page; a page's nets share a slot of PAGE rows
 _WORD = np.dtype("<u8")
 
 # gate kind code (its position in `GATE_ARITY`) -> (ufunc on packed words,
@@ -133,7 +139,8 @@ class Chunk(NamedTuple):
     Piece k starts at word `offsets[k]` of the chunk and runs to the next
     piece; it holds vectors `starts[k]`.. of point `points[k]`.  A window
     of consecutive chunks is a `Chunk` too, holding their pieces in order,
-    so one point may have several pieces in it.
+    so one point may have several pieces in it; the pool holds a window's
+    words of each live net, a page at a time.
     """
 
     lo: int
@@ -149,8 +156,10 @@ class PackedPoints:
 
     `rows[k * width + bit]` is operand k's (a, then b) bit over all
     chunks' words; `chunks` cuts them every `CHUNK_WORDS` words, the grain
-    of a census window.  Point p has `lengths[p]` vectors, and `stats[p]` holds
-    the target word statistics of its two streams.
+    of a census window, which takes as many chunks as fit `WINDOW_WORDS`
+    and, in a netlist's pool rows, `WINDOW_BYTES`.  Point p has
+    `lengths[p]` vectors, and `stats[p]` holds the target word statistics
+    of its two streams.
     """
 
     width: int
@@ -208,17 +217,49 @@ def pack_points(width: int, pairs) -> PackedPoints:
                         rows, tuple(chunks))
 
 
-def _chunks(netlist: Netlist, packed: PackedPoints):
-    """Evaluate the netlist over `packed` window by window.
+def _pool(netlist: Netlist) -> tuple[np.ndarray, int]:
+    """Plan the window buffer: each net's row in it, and its row count.
 
-    Yields `(values, window)`: `values` is the (nets x words) array of the
-    window's words, row k net k, and `window` the `Chunk` of its pieces;
-    the next window overwrites `values`.
+    Primary input k keeps row k.  Gates go in pages of `PAGE` consecutive
+    gates, and each page takes a slot of `PAGE` rows after the inputs'.  A
+    slot is handed out again, by linear scan over a heap of (last reader,
+    slot), only once every reader of its previous page has run.
+    """
+    inputs, count = len(netlist.input_names), len(netlist.kinds)
+    # last[g]: the last gate that reads gate g's net, or g itself
+    last = np.arange(count)
+    reads = netlist.ins - inputs
+    gates = reads >= 0
+    np.maximum.at(last, reads[gates], np.nonzero(gates)[0])
+    heap, free, slots = [], [], []
+    for page, end in enumerate(
+            np.maximum.reduceat(last, np.arange(0, count, PAGE)).tolist()):
+        while heap and heap[0][0] < page * PAGE:
+            free.append(heapq.heappop(heap)[1])
+        slots.append(free.pop() if free else len(heap))
+        heapq.heappush(heap, (end, slots[-1]))
+    gate = np.arange(count)
+    rows = inputs + PAGE * np.array(slots, np.int64)[gate // PAGE]
+    rows += gate % PAGE
+    return (np.concatenate([np.arange(inputs), rows]),
+            inputs + PAGE * (len(heap) + len(free)))
+
+
+def _chunks(netlist: Netlist, packed: PackedPoints):
+    """Evaluate the netlist over `packed` window by window, page by page.
+
+    Yields `(window, pages)`: `window` is the `Chunk` of the window's
+    pieces, and `pages` evaluates it, yielding `(net, rows)` for the
+    primary inputs and then for each page of gates once its last gate has
+    run: `rows` is the (n x words) array of nets net..net+n-1 over the
+    window's words.  It is overwritten when its slot is handed out again,
+    so take every page before the next, and all of them before the next
+    window.
     """
     if packed.width != netlist.width:
         raise ValueError("stream width does not match netlist operand width")
-    nets = netlist.net_count
-    limit = min(WINDOW_WORDS, WINDOW_BYTES // (8 * nets))
+    rows, size = _pool(netlist)
+    limit = min(WINDOW_WORDS, WINDOW_BYTES // (8 * size))
     runs = []
     for chunk in packed.chunks:
         if runs and chunk.hi - runs[-1][0].lo <= limit:
@@ -230,29 +271,39 @@ def _chunks(netlist: Netlist, packed: PackedPoints):
                      np.concatenate([c.offsets + c.lo - run[0].lo for c in run]),
                      np.concatenate([c.starts for c in run])) for run in runs]
     tied, pins = _input_pins(netlist)
-    sources, rows = list(pins), list(pins.values())
-    program = [(*_GATES[kind], first, second, net)
-               for net, kind, (first, second) in zip(
-                   netlist.gate_nets, netlist.kinds.tolist(),
-                   netlist.ins.tolist())]
-    buf = np.empty(nets * max((w.hi - w.lo for w in windows), default=0),
+    sources, operands = list(pins), list(pins.values())
+    inputs = len(netlist.input_names)
+    ins = np.where(netlist.ins >= 0, rows[netlist.ins], -1)
+    program = [(*_GATES[kind], first, second, out)
+               for kind, (first, second), out in zip(
+                   netlist.kinds.tolist(), ins.tolist(),
+                   rows[inputs:].tolist())]
+    pages = [(net, int(rows[net]), program[net - inputs:net - inputs + PAGE])
+             for net in range(inputs, netlist.net_count, PAGE)]
+
+    def evaluate_pages(pool):
+        yield 0, pool[:inputs]
+        view = list(pool)
+        for net, row, page in pages:
+            # `out` goes positionally: the keyword costs a third of a call
+            for op, invert, first, second, out in page:
+                dst = view[out]
+                if second >= 0:
+                    op(view[first], view[second], dst)
+                else:
+                    op(view[first], dst)
+                if invert:
+                    np.invert(dst, dst)
+            yield net, pool[row:row + len(page)]
+
+    buf = np.empty(size * max((w.hi - w.lo for w in windows), default=0),
                    _WORD)
     for window in windows:
-        values = buf[:nets * (window.hi - window.lo)].reshape(nets, -1)
+        pool = buf[:size * (window.hi - window.lo)].reshape(size, -1)
         # rows move when the window width changes, so tie the pins every window
-        values[tied] = 0
-        values[sources] = packed.rows[rows, window.lo:window.hi]
-        view = list(values)
-        # `out` goes positionally: the keyword costs a third of a call
-        for op, invert, first, second, out in program:
-            dst = view[out]
-            if second >= 0:
-                op(view[first], view[second], dst)
-            else:
-                op(view[first], dst)
-            if invert:
-                np.invert(dst, dst)
-        yield values, window
+        pool[tied] = 0
+        pool[sources] = packed.rows[operands, window.lo:window.hi]
+        yield window, evaluate_pages(pool)
 
 
 def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
@@ -260,18 +311,21 @@ def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
 
     This unpacks the simulator's packed words, so it holds one byte per net
     per vector; it is meant for checking the simulator, not for census runs.
+    A vector left unpacked reads 2, which no oracle value equals.
     """
     packed = pack_points(a.bit_width, [(a, b)])
-    waves = np.empty((netlist.net_count, len(a.words)), np.uint8)
-    for values, window in _chunks(netlist, packed):
-        ends = [*window.offsets[1:], values.shape[1]]
-        # one point: each piece unpacks with its own stride
-        for o, e, start in zip(window.offsets, ends, window.starts):
-            stop = min(start + 64 * (e - o), len(a.words))
-            bits = np.unpackbits(
-                values[:, o:e].view(np.uint8).reshape(len(values), -1, 8),
-                axis=2, bitorder="little").transpose(0, 2, 1)
-            waves[:, start:stop] = bits.reshape(len(values), -1)[:, :stop - start]
+    waves = np.full((netlist.net_count, len(a.words)), 2, np.uint8)
+    for window, pages in _chunks(netlist, packed):
+        ends = [*window.offsets[1:], window.hi - window.lo]
+        for net, rows in pages:
+            # one point: each piece unpacks with its own stride
+            for o, e, start in zip(window.offsets, ends, window.starts):
+                stop = min(start + 64 * (e - o), len(a.words))
+                bits = np.unpackbits(
+                    rows[:, o:e].view(np.uint8).reshape(len(rows), -1, 8),
+                    axis=2, bitorder="little").transpose(0, 2, 1)
+                waves[net:net + len(rows), start:stop] = bits.reshape(
+                    len(rows), -1)[:, :stop - start]
     return dict(enumerate(waves))
 
 
@@ -286,34 +340,41 @@ def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
     # each row's last word of the window before: its bit 63 is the
     # predecessor of vector 0 when the window's first piece goes on a point
     carry = np.zeros((nets, 1), _WORD)
-    for values, window in _chunks(netlist, packed):
-        nwords = values.shape[1]
+    block = max(PAGE, len(netlist.input_names))  # rows in the largest page
+    for window, pages in _chunks(netlist, packed):
         offs = window.offsets
-        last = values[:, [*offs[1:] - 1, nwords - 1]]  # each piece's last word
+        lasts = np.append(offs[1:], window.hi - window.lo) - 1
+        # a point's pieces are consecutive: sum from its first piece on
+        firsts = np.flatnonzero(np.diff(window.points, prepend=-1))
+        sums = np.empty((nets, len(firsts)), np.uint32)  # per net and point
+        # each net's first and last word of every piece
+        head = np.empty((nets, len(offs)), _WORD)
+        last = np.empty((nets, len(offs)), _WORD)
+        diff = np.empty((block, window.hi - window.lo), _WORD)
+        pop = np.empty(diff.shape, np.uint8)
+        # count each page while its rows are in cache
+        for net, rows in pages:
+            span = slice(net, net + len(rows))
+            d, c = diff[:len(rows)], pop[:len(rows)]
+            x = rows.reshape(-1)
+            # across a piece or row boundary this pairs unrelated words;
+            # the wrap terms below count those
+            np.bitwise_xor(x[1:], x[:-1], d.reshape(-1)[1:])
+            d[:, offs] = 0
+            np.bitwise_count(d, c)
+            np.add.reduceat(c, offs[firsts], axis=1, out=sums[span])
+            head[span] = rows[:, offs]
+            last[span] = rows[:, lasts]
         # per piece: vector j*W's predecessor is bit j - 1 of its last word,
         # and vector 0's is bit 63 of the last word of the piece before
         wrap = last << 1
-        wrap ^= values[:, offs]
+        wrap ^= head
         wrap ^= np.hstack([carry, last[:, :-1]]) >> 63
         # a point's first vector has no predecessor: clear bit 0
         wrap &= np.where(window.starts == 0, ~_WORD.type(1), ~_WORD.type(0))
         carry = last[:, -1:]
-        # a point's pieces are consecutive: sum from its first piece on
-        firsts = np.flatnonzero(np.diff(window.points, prepend=-1))
-        sums = np.empty((nets, len(firsts)), np.uint32)  # per row and point
-        block = max(1, _CENSUS_WORDS // nwords)
-        diff = np.empty((block, nwords), _WORD)
-        pop = np.empty((block, nwords), np.uint8)
-        for r in range(0, nets, block):
-            x = values[r:r + block].reshape(-1)
-            m = len(x) // nwords
-            d, c = diff[:m], pop[:m]
-            # across a piece or row boundary this pairs unrelated words;
-            # the wrap terms replace those
-            np.bitwise_xor(x[1:], x[:-1], d.reshape(-1)[1:])
-            d[:, offs] = wrap[r:r + m]
-            np.bitwise_count(d, c)
-            np.add.reduceat(c, offs[firsts], axis=1, out=sums[r:r + m])
+        sums += np.add.reduceat(np.bitwise_count(wrap), firsts, axis=1,
+                                dtype=np.uint32)
         counts[window.points[firsts]] += sums.T
     dead = constant_nets(netlist)
     live = [net for net in range(nets) if net not in dead]

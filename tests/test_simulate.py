@@ -11,14 +11,15 @@ import pytest
 
 from rarenet.archlib import ALL_KINDS
 from rarenet.simulate import (CHUNK_WORDS, WINDOW_BYTES, WINDOW_WORDS,
-                              ToggleProfile, _chunks, census, constant_nets,
-                              evaluate, export_activity, pack_points,
-                              rare_nets, simulate)
-from rarenet.netlist import Netlist, export_netlist, import_netlist
+                              ToggleProfile, _chunks, _pool, census,
+                              constant_nets, evaluate, export_activity,
+                              pack_points, rare_nets, simulate)
+from rarenet.netlist import (Netlist, NetlistBuilder, export_netlist,
+                             import_netlist)
 from rarenet.stats import WordStats
 from rarenet.stimulus import generate
 
-from conftest import make_stream
+from conftest import ARCHS, make_stream
 
 
 def bigint_reference(netlist, a_words, b_words):
@@ -184,9 +185,28 @@ def test_census_of_unequal_points_matches_each_point(kind, netlist_of,
         assert_profile_matches_reference(nl, a.words, b.words, prof)
 
 
-# the points above under a budget of 0, 1 or 2 chunks of 3 words: a window
-# holds at least one chunk, so 0 and 1 give one-chunk windows (the default
-# budget gives one window of all five chunks)
+def assert_census_matches_each_point(nl, pairs):
+    """The census of `pairs` equals each point's `simulate` and the
+    big-integer reference, and `evaluate` of the last point equals the
+    reference."""
+    packed = pack_points(nl.width, pairs)
+    for (a, b), prof in zip(pairs, census(nl, packed), strict=True):
+        assert prof == simulate(nl, a, b)
+        assert_profile_matches_reference(nl, a.words, b.words, prof)
+    a, b = pairs[-1]
+    ref = bigint_reference(nl, a.words, b.words)
+    got = evaluate(nl, a, b)
+    assert all(as_int(wave) == ref[net] for net, wave in got.items())
+
+
+def window_widths(nl, pairs):
+    return [w.hi - w.lo for w, _ in _chunks(nl, pack_points(nl.width, pairs))]
+
+
+# the points above under a budget of 0, 1 or 2 chunks of 3 words of the
+# buffer's rows: a window holds at least one chunk, so 0 and 1 give
+# one-chunk windows (the default budget gives one window of all five
+# chunks); the 500-vector point alone is 8 words in pieces of 3, 3 and 2
 @pytest.mark.parametrize("chunks,widths", [
     (0, [3, 3, 3, 3, 1]), (1, [3, 3, 3, 3, 1]), (2, [6, 6, 1])],
     ids=["budget0", "budget1", "budget2"])
@@ -196,19 +216,94 @@ def test_census_windows_match_each_point(kind, chunks, widths, netlist_of,
     module = sys.modules["rarenet.simulate"]
     monkeypatch.setattr(module, "CHUNK_WORDS", 3)
     nl = netlist_of(kind, 8)
-    monkeypatch.setattr(module, "WINDOW_BYTES", nl.net_count * 8 * 3 * chunks)
+    monkeypatch.setattr(module, "WINDOW_BYTES", _pool(nl)[1] * 8 * 3 * chunks)
     rng = np.random.default_rng(31)
     pairs = [random_pair(8, n, rng) for n in (2, 63, 64, 65, 500)]
-    packed = pack_points(8, pairs)
-    assert [w.hi - w.lo for _, w in _chunks(nl, packed)] == widths
-    for (a, b), prof in zip(pairs, census(nl, packed), strict=True):
-        assert prof == simulate(nl, a, b)
-        assert_profile_matches_reference(nl, a.words, b.words, prof)
-    # the 500-vector point alone: 8 words in pieces of 3, 3 and 2 words
-    a, b = pairs[-1]
-    ref = bigint_reference(nl, a.words, b.words)
-    got = evaluate(nl, a, b)
-    assert all(as_int(wave) == ref[net] for net, wave in got.items())
+    assert window_widths(nl, pairs) == widths
+    assert_census_matches_each_point(nl, pairs)
+
+
+# one gate a page, and 11 gates a page, which divides no width-8 gate count
+@pytest.mark.parametrize("page", [1, 11])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_census_pages_match_each_point(kind, page, netlist_of, monkeypatch):
+    module = sys.modules["rarenet.simulate"]
+    monkeypatch.setattr(module, "CHUNK_WORDS", 3)
+    monkeypatch.setattr(module, "PAGE", page)
+    nl = netlist_of(kind, 8)
+    assert page == 1 or len(nl.kinds) % page
+    rng = np.random.default_rng(37)
+    pairs = [random_pair(8, n, rng) for n in (2, 63, 64, 65, 500)]
+    assert_census_matches_each_point(nl, pairs)
+
+
+def every_net_live_netlist():
+    """16 operand pins, a page of 32 gates of every kind over them, then a
+    chain of 47 XOR gates from the page's last gate that reads the pins
+    and then the page's other gates, newest first: the first page is read
+    by the last gate, so no slot is handed out twice and the buffer holds
+    a row for every net."""
+    builder = NetlistBuilder("LIVE8", 8)
+    pins = [builder.input(f"{op}{bit}") for op in "ab" for bit in range(8)]
+    kinds = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR", "NOT", "BUF")
+    page = []
+    for k in range(32):
+        kind = kinds[k % len(kinds)]
+        ins = pins[k % 16:k % 16 + 1] if kind in ("NOT", "BUF") else [
+            pins[k % 16], pins[(5 * k + 3) % 16]]
+        page.append(builder.gate(kind, ins, 0, f"G{k}"))
+    chain = page.pop()
+    for net in pins + page[::-1]:
+        chain = builder.gate("XOR", [chain, net], 0, "CHAIN")
+    builder.set_outputs([chain])
+    return builder.build()
+
+
+# a budget of two 3-word chunks of the buffer's rows, and of two chunks of
+# every net's row, which the padded last slot narrows to 5 words of the
+# buffer's: one chunk a window, but the last two (3 + 1 words) together
+@pytest.mark.parametrize("budget,widths", [
+    ("pool", [6, 6, 1]), ("nets", [3, 3, 3, 4])])
+def test_census_with_every_net_live(budget, widths, monkeypatch):
+    module = sys.modules["rarenet.simulate"]
+    monkeypatch.setattr(module, "CHUNK_WORDS", 3)
+    nl = every_net_live_netlist()
+    rows, size = _pool(nl)
+    assert len(set(rows.tolist())) == nl.net_count == 95
+    assert size == 16 + 3 * 32
+    rows = {"nets": nl.net_count, "pool": size}[budget]
+    monkeypatch.setattr(module, "WINDOW_BYTES", rows * 8 * 3 * 2)
+    rng = np.random.default_rng(41)
+    pairs = [random_pair(8, n, rng) for n in (2, 63, 64, 65, 500)]
+    assert window_widths(nl, pairs) == widths
+    assert_census_matches_each_point(nl, pairs)
+
+
+@pytest.mark.parametrize("kind,width", ARCHS,
+                         ids=[f"{k}{w}" for k, w in ARCHS])
+def test_page_plan_keeps_each_net_until_read_and_counted(kind, width,
+                                                         netlist_of):
+    """Replays the gates over the planned rows: no slot is handed out
+    before every reader of its previous page has run, so each net still
+    holds its row when a gate reads it and when its page is counted."""
+    page = sys.modules["rarenet.simulate"].PAGE
+    nl = netlist_of(kind, width)
+    rows, size = _pool(nl)
+    rows = rows.tolist()
+    inputs = len(nl.input_names)
+    assert rows[:inputs] == list(range(inputs))
+    assert (size - inputs) % page == 0
+    holder = dict(enumerate(range(inputs)))  # row -> the net it holds
+    gate_nets = list(nl.gate_nets)
+    for k, (net, ins) in enumerate(zip(gate_nets, nl.ins.tolist())):
+        assert all(holder[rows[i]] == i for i in ins if i >= 0)
+        # a page's gates fill one slot in order
+        assert rows[net] - rows[gate_nets[k - k % page]] == k % page
+        assert inputs <= rows[net] < size
+        holder[rows[net]] = net
+        if k % page == page - 1 or k == len(gate_nets) - 1:
+            counted = gate_nets[k - k % page:k + 1]
+            assert all(holder[rows[n]] == n for n in counted)
 
 
 def test_census_memory_is_bounded_in_point_count(netlist_of):
@@ -246,6 +341,23 @@ def test_simulate_memory_is_bounded_in_vector_count(netlist_of):
     # the window buffer, plus 4 MiB for the packed rows, the gate program
     # and the row views (about 2.4 MB of it here)
     assert peaks[0] <= WINDOW_BYTES + (4 << 20), peaks
+
+
+# the two largest buffers: DADDA16 holds 1,120 rows of its 2,584 nets and
+# VEDIC16 928 of its 4,143, 8.75 and 7.25 MiB at 1,024 words
+@pytest.mark.parametrize("kind,rows", [("DADDA", 1120), ("VEDIC", 928)])
+def test_simulate_memory_is_set_by_the_pool(kind, rows, netlist_of):
+    nl = netlist_of(kind, 16)
+    assert _pool(nl)[1] == rows
+    a, b = random_pair(16, 65_536, np.random.default_rng(5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        simulate(nl, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20, peak
 
 
 def test_constant_nets_from_tied_carry_in(netlist_of):
