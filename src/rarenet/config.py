@@ -6,7 +6,9 @@ comma-separated; an empty value is the empty list, an empty item is an
 error, and `architectures` and `bp1_targets` may not repeat an item.
 Architectures are written `KIND:WIDTH`.  An integer is ASCII `-?[0-9]+`,
 and a number is ASCII text with no `_` that `float` reads.
-`parse(emit(cfg))` returns an equal config.
+`parse(emit(cfg))` returns an equal config; `emit` raises `ConfigError`
+for a text value that would not read back (leading or trailing
+whitespace, or a line break).
 
 Operand statistics are stored width-free: only each operand's lag-1
 correlation is configured.  For every boundary target and width, the
@@ -80,6 +82,9 @@ def emit(cfg: ExperimentConfig) -> str:
             v = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
         elif isinstance(v, float):
             v = repr(v)
+        elif isinstance(v, str) and (v != v.strip() or len(v.splitlines()) > 1):
+            raise ConfigError(f"{f.name} {v!r} cannot be read back: it has "
+                              "leading or trailing whitespace or a line break")
         lines.append(f"{f.name}={v}")
     return "\n".join(lines) + "\n"
 
@@ -137,5 +142,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
+    text = emit(cfg)  # a config it cannot write leaves no file
     with open(path, "w") as fh:
-        fh.write(emit(cfg))
+        fh.write(text)

@@ -5,27 +5,25 @@ pair of equal-length operand streams, and counts every net's value
 transitions at each point.  Each net's waveform is packed 64 vectors to a
 little-endian `uint64` word.  Point p takes ceil(n_p / 64) words, the
 points' words are laid end to end, and the concatenation is cut into
-chunks of `CHUNK_WORDS` words.  A chunk holds one or more *pieces*; a
-piece is one point's contiguous run of n vectors, strided over its own
-W = ceil(n / 64) words: vector j*W + i of the piece is bit j of its word
-i, and vectors past the point's last one repeat it, adding no
-transitions.  A point that does not fit the rest of a chunk goes on as a
-piece of the next.
+*windows* of `WINDOW_WORDS` words.  A window holds one or more *pieces*,
+at most one per point; a piece is one point's contiguous run of n
+vectors, strided over its own W = ceil(n / 64) words: vector j*W + i of
+the piece is bit j of its word i, and vectors past the point's last one
+repeat it, adding no transitions.  A point that does not fit the rest of
+a window goes on as a piece of the next.
 
 `pack_points` unpacks the operand words into per-bit waveforms (two's
 complement) in that layout once; they depend on the streams alone, so
 one packing serves every netlist of the operand width.  A netlist is
-evaluated over *windows*: runs of consecutive chunks of at most
-`WINDOW_WORDS` words whose buffer rows take at most `WINDOW_BYTES`, and
-at least one chunk.  Gates go in topological order, one numpy bitwise
-ufunc per gate over a whole row of a window.  A vector's predecessor is
-the same bit of the word before it in its piece; for a piece's first
-word it is one bit lower in the piece's last word, and bit 0 takes the
-point's previous vector, bit 63 of the last word of the piece before
-(carried over from the window before for its first piece).  So the
-census is a popcount of neighbouring words XOR-ed, with one wrap term
-per piece, summed per point.  Only functional transitions are counted;
-there is no timing or glitch model.
+evaluated window by window, gates in topological order, one numpy
+bitwise ufunc per gate over a whole row of a window.  A vector's
+predecessor is the same bit of the word before it in its piece; for a
+piece's first word it is one bit lower in the piece's last word, and bit
+0 takes the point's previous vector, bit 63 of the last word of the piece
+before (carried over from the window before for its first piece).  So
+the census is a popcount of neighbouring words XOR-ed, with one wrap term
+per piece.  Only functional transitions are counted; there is no timing
+or glitch model.
 
 Every window reuses one buffer, the *pool*, as a C-contiguous
 (rows x words) array.  Primary input k keeps row k.  Gates go in *pages*
@@ -33,11 +31,10 @@ of `PAGE` consecutive gates; each page takes a slot of `PAGE` rows,
 handed on to a later page once every reader of its nets has run (linear
 scan over each page's last reader), and is counted right after its last
 gate, while its rows are in cache.  So the census's working memory is
-set by the nets live at once and the window budget, not by the net,
-vector or point count: the 2,584 nets of a 16-bit Dadda multiplier take
-1,120 rows (8.75 MiB at 1,024 words), the largest pool, and the 4,143 of
-a 16-bit Vedic multiplier 928 rows; every built-in netlist gets
-1,024-word windows.  The packed operand rows hold 2 x width bits a
+set by the nets live at once, not by the net, vector or point count: the
+2,584 nets of a 16-bit Dadda multiplier take 1,120 rows (8.75 MiB at
+1,024 words), the largest pool, and the 4,143 of a 16-bit Vedic
+multiplier 928 rows.  The packed operand rows hold 2 x width bits a
 vector, no more than the 64-bit stream words they are made from
 (`evaluate`, which returns whole waveforms, is the exception).
 
@@ -61,9 +58,7 @@ from .netlist import GATE_ARITY, Netlist, operand_bit
 from .stats import WordStats
 from .stimulus import StimulusStream
 
-CHUNK_WORDS = 512  # 32,768 vectors per chunk
-WINDOW_WORDS = 1024  # at most this many words in a window
-WINDOW_BYTES = 24 << 20  # and at most this many bytes of buffer rows
+WINDOW_WORDS = 1024  # 65,536 vectors per window
 PAGE = 32  # gates per page; a page's nets share a slot of PAGE rows
 _WORD = np.dtype("<u8")
 
@@ -134,13 +129,12 @@ def constant_nets(netlist: Netlist) -> frozenset[int]:
 
 
 class Chunk(NamedTuple):
-    """Words lo..hi-1 of the packed points, cut into pieces.
+    """A census window: words lo..hi-1 of the packed points, cut into pieces.
 
-    Piece k starts at word `offsets[k]` of the chunk and runs to the next
-    piece; it holds vectors `starts[k]`.. of point `points[k]`.  A window
-    of consecutive chunks is a `Chunk` too, holding their pieces in order,
-    so one point may have several pieces in it; the pool holds a window's
-    words of each live net, a page at a time.
+    Piece k starts at word `offsets[k]` of the window and runs to the next
+    piece; it holds vectors `starts[k]`.. of point `points[k]`, and no
+    point has two pieces in one window.  The pool holds a window's words
+    of each live net, a page at a time.
     """
 
     lo: int
@@ -155,11 +149,9 @@ class PackedPoints:
     """The operand bits of a list of operating points, packed for a census.
 
     `rows[k * width + bit]` is operand k's (a, then b) bit over all
-    chunks' words; `chunks` cuts them every `CHUNK_WORDS` words, the grain
-    of a census window, which takes as many chunks as fit `WINDOW_WORDS`
-    and, in a netlist's pool rows, `WINDOW_BYTES`.  Point p has
-    `lengths[p]` vectors, and `stats[p]` holds the target word statistics
-    of its two streams.
+    windows' words; `chunks` cuts them into the census windows, every
+    `WINDOW_WORDS` words.  Point p has `lengths[p]` vectors, and `stats[p]`
+    holds the target word statistics of its two streams.
     """
 
     width: int
@@ -191,8 +183,8 @@ def pack_points(width: int, pairs) -> PackedPoints:
                  .reshape(-1, 8)[:, :nbytes] for s in pair] for pair in pairs]
     rows = np.empty((2 * width, first[-1]), _WORD)
     chunks = []
-    for lo in range(0, first[-1], CHUNK_WORDS):
-        hi = min(lo + CHUNK_WORDS, first[-1])
+    for lo in range(0, first[-1], WINDOW_WORDS):
+        hi = min(lo + WINDOW_WORDS, first[-1])
         points = np.arange(np.searchsorted(first, lo, "right") - 1,
                            np.searchsorted(first, hi))
         offsets = np.maximum(first[points], lo) - lo
@@ -248,8 +240,8 @@ def _pool(netlist: Netlist) -> tuple[np.ndarray, int]:
 def _chunks(netlist: Netlist, packed: PackedPoints):
     """Evaluate the netlist over `packed` window by window, page by page.
 
-    Yields `(window, pages)`: `window` is the `Chunk` of the window's
-    pieces, and `pages` evaluates it, yielding `(net, rows)` for the
+    Yields `(window, pages)`: `window` is each `Chunk` of `packed` in
+    turn, and `pages` evaluates it, yielding `(net, rows)` for the
     primary inputs and then for each page of gates once its last gate has
     run: `rows` is the (n x words) array of nets net..net+n-1 over the
     window's words.  It is overwritten when its slot is handed out again,
@@ -259,17 +251,6 @@ def _chunks(netlist: Netlist, packed: PackedPoints):
     if packed.width != netlist.width:
         raise ValueError("stream width does not match netlist operand width")
     rows, size = _pool(netlist)
-    limit = min(WINDOW_WORDS, WINDOW_BYTES // (8 * size))
-    runs = []
-    for chunk in packed.chunks:
-        if runs and chunk.hi - runs[-1][0].lo <= limit:
-            runs[-1].append(chunk)
-        else:
-            runs.append([chunk])
-    windows = [Chunk(run[0].lo, run[-1].hi,
-                     np.concatenate([c.points for c in run]),
-                     np.concatenate([c.offsets + c.lo - run[0].lo for c in run]),
-                     np.concatenate([c.starts for c in run])) for run in runs]
     tied, pins = _input_pins(netlist)
     sources, operands = list(pins), list(pins.values())
     inputs = len(netlist.input_names)
@@ -296,9 +277,9 @@ def _chunks(netlist: Netlist, packed: PackedPoints):
                     np.invert(dst, dst)
             yield net, pool[row:row + len(page)]
 
-    buf = np.empty(size * max((w.hi - w.lo for w in windows), default=0),
+    buf = np.empty(size * max((w.hi - w.lo for w in packed.chunks), default=0),
                    _WORD)
-    for window in windows:
+    for window in packed.chunks:
         pool = buf[:size * (window.hi - window.lo)].reshape(size, -1)
         # rows move when the window width changes, so tie the pins every window
         pool[tied] = 0
@@ -316,16 +297,14 @@ def evaluate(netlist: Netlist, a: StimulusStream, b: StimulusStream):
     packed = pack_points(a.bit_width, [(a, b)])
     waves = np.full((netlist.net_count, len(a.words)), 2, np.uint8)
     for window, pages in _chunks(netlist, packed):
-        ends = [*window.offsets[1:], window.hi - window.lo]
+        # one point: the window is one piece
+        start = int(window.starts[0])
+        stop = min(start + 64 * (window.hi - window.lo), len(a.words))
         for net, rows in pages:
-            # one point: each piece unpacks with its own stride
-            for o, e, start in zip(window.offsets, ends, window.starts):
-                stop = min(start + 64 * (e - o), len(a.words))
-                bits = np.unpackbits(
-                    rows[:, o:e].view(np.uint8).reshape(len(rows), -1, 8),
-                    axis=2, bitorder="little").transpose(0, 2, 1)
-                waves[net:net + len(rows), start:stop] = bits.reshape(
-                    len(rows), -1)[:, :stop - start]
+            bits = np.unpackbits(rows.view(np.uint8).reshape(len(rows), -1, 8),
+                                 axis=2, bitorder="little").transpose(0, 2, 1)
+            waves[net:net + len(rows), start:stop] = bits.reshape(
+                len(rows), -1)[:, :stop - start]
     return dict(enumerate(waves))
 
 
@@ -344,9 +323,7 @@ def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
     for window, pages in _chunks(netlist, packed):
         offs = window.offsets
         lasts = np.append(offs[1:], window.hi - window.lo) - 1
-        # a point's pieces are consecutive: sum from its first piece on
-        firsts = np.flatnonzero(np.diff(window.points, prepend=-1))
-        sums = np.empty((nets, len(firsts)), np.uint32)  # per net and point
+        sums = np.empty((nets, len(offs)), np.uint32)  # per net and piece
         # each net's first and last word of every piece
         head = np.empty((nets, len(offs)), _WORD)
         last = np.empty((nets, len(offs)), _WORD)
@@ -362,7 +339,7 @@ def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
             np.bitwise_xor(x[1:], x[:-1], d.reshape(-1)[1:])
             d[:, offs] = 0
             np.bitwise_count(d, c)
-            np.add.reduceat(c, offs[firsts], axis=1, out=sums[span])
+            np.add.reduceat(c, offs, axis=1, out=sums[span])
             head[span] = rows[:, offs]
             last[span] = rows[:, lasts]
         # per piece: vector j*W's predecessor is bit j - 1 of its last word,
@@ -373,9 +350,8 @@ def census(netlist: Netlist, packed: PackedPoints) -> Iterator[ToggleProfile]:
         # a point's first vector has no predecessor: clear bit 0
         wrap &= np.where(window.starts == 0, ~_WORD.type(1), ~_WORD.type(0))
         carry = last[:, -1:]
-        sums += np.add.reduceat(np.bitwise_count(wrap), firsts, axis=1,
-                                dtype=np.uint32)
-        counts[window.points[firsts]] += sums.T
+        sums += np.bitwise_count(wrap)
+        counts[window.points] += sums.T
     dead = constant_nets(netlist)
     live = [net for net in range(nets) if net not in dead]
     return (ToggleProfile(vectors, dict(zip(live, row[live].tolist())))

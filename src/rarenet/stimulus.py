@@ -60,21 +60,27 @@ def unit_chain(rho: float, length: int, seed: int) -> np.ndarray:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(length + _WARMUP)
-    scale = math.sqrt(max(0.0, 1.0 - rho * rho))
-    # the recurrence runs on Python floats: the same IEEE operations in the
-    # same order as elementwise numpy, without per-element array access
-    y = [last := float(w[0])]
-    for drive in (scale * w[1:]).tolist():
-        y.append(last := rho * last + drive)
-    return np.array(y[_WARMUP:])
+    w[1:] *= math.sqrt(max(0.0, 1.0 - rho * rho))
+    # the recurrence runs in place on Python floats: the same IEEE
+    # operations in the same order as elementwise numpy, without numpy's
+    # per-element cost or a list of a float object per sample
+    last, view = float(w[0]), memoryview(w)
+    for i in range(1, len(w)):
+        view[i] = last = rho * last + view[i]
+    return w[_WARMUP:]
 
 
 def quantise(target: WordStats, chain: np.ndarray, seed: int) -> StimulusStream:
     """Scale, round and saturate a `unit_chain` of `target.rho` to `target`."""
     check_range(target)
-    x = np.rint(target.mean + target.std_dev * chain)
-    words = np.clip(x, float(target.min_value), float(target.max_value))
-    return StimulusStream(words.astype(np.int64), target.bit_width, seed, target)
+    # 2**(w-1) is exact as a float, but above 53 bits `max_value` is not
+    top = 2.0 ** (target.bit_width - 1)
+    x = np.clip(np.rint(target.mean + target.std_dev * chain), -top, top)
+    over = x == top
+    x[over] = 0  # at 64 bits `top` is beyond int64
+    words = x.astype(np.int64)
+    words[over] = target.max_value
+    return StimulusStream(words, target.bit_width, seed, target)
 
 
 def generate(target: WordStats, length: int, seed: int) -> StimulusStream:

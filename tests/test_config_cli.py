@@ -58,6 +58,17 @@ def test_config_file_round_trip(tmp_path):
     assert load_config(path) == cfg
 
 
+# " out" would read back as "out", and a line break as a second key
+@pytest.mark.parametrize("output_dir", [" out", "out\nseed=5"])
+def test_config_that_cannot_be_read_back_is_not_written(output_dir, tmp_path):
+    cfg = small_config(output_dir=output_dir)
+    with pytest.raises(ConfigError, match="^output_dir "):
+        emit(cfg)
+    with pytest.raises(ConfigError, match="^output_dir "):
+        save_config(cfg, tmp_path / "run.cfg")
+    assert not (tmp_path / "run.cfg").exists()
+
+
 def test_config_parse_accepts_comments_and_blanks():
     cfg = parse("# experiment\n\narchitectures = RCA:16\nvectors = 50\n")
     assert cfg.architectures == (("RCA", 16),)

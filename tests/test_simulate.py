@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from rarenet.archlib import ALL_KINDS
-from rarenet.simulate import (CHUNK_WORDS, WINDOW_BYTES, WINDOW_WORDS,
-                              ToggleProfile, _chunks, _pool, census,
-                              constant_nets, evaluate, export_activity,
-                              pack_points, rare_nets, simulate)
+from rarenet.simulate import (WINDOW_WORDS, ToggleProfile, _chunks, _pool,
+                              census, constant_nets, evaluate,
+                              export_activity, pack_points, rare_nets,
+                              simulate)
 from rarenet.netlist import (Netlist, NetlistBuilder, export_netlist,
                              import_netlist)
 from rarenet.stats import WordStats
@@ -139,13 +139,12 @@ def test_toggle_count_matches_reference(kind, vectors, netlist_of):
     assert_toggles_match_reference(netlist_of(kind, 8), vectors)
 
 
-# One vector past the first chunk: the census carries into a chunk of one
-# vector; 130 past it: a last chunk of three words, the last one padded;
-# exactly two chunks: no padding, and the carry meets a full chunk.  A
-# 4-bit netlist's window is WINDOW_WORDS wide, so the chunk cases carry
-# within a window and the same cases past a whole window carry across two.
+# Past a whole window: one vector past it, the census carries into a
+# window of one vector; 130 past it, a last window of three words, the last
+# one padded; exactly two windows, no padding, and the carry meets a full
+# window.  The same cases past half a window stay within one window.
 @pytest.mark.parametrize("kind,vectors", [
-    (kind, span + extra) for span in (CHUNK_WORDS * 64, WINDOW_WORDS * 64)
+    (kind, span + extra) for span in (WINDOW_WORDS * 32, WINDOW_WORDS * 64)
     for kind, extra in (("RCA", 1), ("RCA", 130), ("ARRAY", 130),
                         ("RCA", span))])
 def test_toggle_count_matches_reference_across_chunks(kind, vectors,
@@ -155,7 +154,7 @@ def test_toggle_count_matches_reference_across_chunks(kind, vectors,
 
 def test_one_word_chunks_match_reference(netlist_of, monkeypatch):
     # the package attribute `rarenet.simulate` is the function, not the module
-    monkeypatch.setattr(sys.modules["rarenet.simulate"], "CHUNK_WORDS", 1)
+    monkeypatch.setattr(sys.modules["rarenet.simulate"], "WINDOW_WORDS", 1)
     nl = netlist_of("CSA", 8)
     assert_toggles_match_reference(nl, 500)
     rng = np.random.default_rng(3)
@@ -166,12 +165,12 @@ def test_one_word_chunks_match_reference(netlist_of, monkeypatch):
     assert all(as_int(wave) == ref[net] for net, wave in got.items())
 
 
-# points of 1, 1, 1, 2 and 8 words in chunks of 3: the first chunk holds
-# three points, the fourth shares a chunk with the fifth, which spans four
+# points of 1, 1, 1, 2 and 8 words in windows of 3: the first window holds
+# three points, the fourth shares a window with the fifth, which spans four
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_census_of_unequal_points_matches_each_point(kind, netlist_of,
                                                      monkeypatch):
-    monkeypatch.setattr(sys.modules["rarenet.simulate"], "CHUNK_WORDS", 3)
+    monkeypatch.setattr(sys.modules["rarenet.simulate"], "WINDOW_WORDS", 3)
     nl = netlist_of(kind, 8)
     rng = np.random.default_rng(29)
     pairs = [random_pair(8, n, rng) for n in (2, 63, 64, 65, 500)]
@@ -199,27 +198,19 @@ def assert_census_matches_each_point(nl, pairs):
     assert all(as_int(wave) == ref[net] for net, wave in got.items())
 
 
-def window_widths(nl, pairs):
-    return [w.hi - w.lo for w, _ in _chunks(nl, pack_points(nl.width, pairs))]
-
-
-# the points above under a budget of 0, 1 or 2 chunks of 3 words of the
-# buffer's rows: a window holds at least one chunk, so 0 and 1 give
-# one-chunk windows (the default budget gives one window of all five
-# chunks); the 500-vector point alone is 8 words in pieces of 3, 3 and 2
-@pytest.mark.parametrize("chunks,widths", [
-    (0, [3, 3, 3, 3, 1]), (1, [3, 3, 3, 3, 1]), (2, [6, 6, 1])],
-    ids=["budget0", "budget1", "budget2"])
+# the points above in windows of 3 words: the 500-vector point alone is
+# 8 words, in pieces of 3, 3 and 2 in three windows
 @pytest.mark.parametrize("kind", ["CSA", "ARRAY"])
-def test_census_windows_match_each_point(kind, chunks, widths, netlist_of,
-                                         monkeypatch):
-    module = sys.modules["rarenet.simulate"]
-    monkeypatch.setattr(module, "CHUNK_WORDS", 3)
+def test_census_windows_match_each_point(kind, netlist_of, monkeypatch):
+    monkeypatch.setattr(sys.modules["rarenet.simulate"], "WINDOW_WORDS", 3)
     nl = netlist_of(kind, 8)
-    monkeypatch.setattr(module, "WINDOW_BYTES", _pool(nl)[1] * 8 * 3 * chunks)
     rng = np.random.default_rng(31)
     pairs = [random_pair(8, n, rng) for n in (2, 63, 64, 65, 500)]
-    assert window_widths(nl, pairs) == widths
+    packed = pack_points(8, pairs)
+    assert [w.hi - w.lo for w, _ in _chunks(nl, packed)] == [3, 3, 3, 3, 1]
+    # a window holds at most one piece of each point
+    assert all(len(set(w.points.tolist())) == len(w.points)
+               for w in packed.chunks)
     assert_census_matches_each_point(nl, pairs)
 
 
@@ -228,7 +219,7 @@ def test_census_windows_match_each_point(kind, chunks, widths, netlist_of,
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_census_pages_match_each_point(kind, page, netlist_of, monkeypatch):
     module = sys.modules["rarenet.simulate"]
-    monkeypatch.setattr(module, "CHUNK_WORDS", 3)
+    monkeypatch.setattr(module, "WINDOW_WORDS", 3)
     monkeypatch.setattr(module, "PAGE", page)
     nl = netlist_of(kind, 8)
     assert page == 1 or len(nl.kinds) % page
@@ -259,23 +250,14 @@ def every_net_live_netlist():
     return builder.build()
 
 
-# a budget of two 3-word chunks of the buffer's rows, and of two chunks of
-# every net's row, which the padded last slot narrows to 5 words of the
-# buffer's: one chunk a window, but the last two (3 + 1 words) together
-@pytest.mark.parametrize("budget,widths", [
-    ("pool", [6, 6, 1]), ("nets", [3, 3, 3, 4])])
-def test_census_with_every_net_live(budget, widths, monkeypatch):
-    module = sys.modules["rarenet.simulate"]
-    monkeypatch.setattr(module, "CHUNK_WORDS", 3)
+def test_census_with_every_net_live(monkeypatch):
+    monkeypatch.setattr(sys.modules["rarenet.simulate"], "WINDOW_WORDS", 3)
     nl = every_net_live_netlist()
     rows, size = _pool(nl)
     assert len(set(rows.tolist())) == nl.net_count == 95
     assert size == 16 + 3 * 32
-    rows = {"nets": nl.net_count, "pool": size}[budget]
-    monkeypatch.setattr(module, "WINDOW_BYTES", rows * 8 * 3 * 2)
     rng = np.random.default_rng(41)
     pairs = [random_pair(8, n, rng) for n in (2, 63, 64, 65, 500)]
-    assert window_widths(nl, pairs) == widths
     assert_census_matches_each_point(nl, pairs)
 
 
@@ -340,7 +322,7 @@ def test_simulate_memory_is_bounded_in_vector_count(netlist_of):
     assert peaks[1] <= 1.25 * peaks[0], peaks
     # the window buffer, plus 4 MiB for the packed rows, the gate program
     # and the row views (about 2.4 MB of it here)
-    assert peaks[0] <= WINDOW_BYTES + (4 << 20), peaks
+    assert peaks[0] <= 8 * WINDOW_WORDS * _pool(nl)[1] + (4 << 20), peaks
 
 
 # the two largest buffers: DADDA16 holds 1,120 rows of its 2,584 nets and

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from rarenet.stats import WordStats, empirical_bit_profile, empirical_word_stats
 from rarenet.stimulus import (StimulusStream, dump_stream, generate, load_stream,
-                              parse_stream, quantise, save_stream)
+                              parse_stream, quantise, save_stream, unit_chain)
 
 from conftest import mutations
 
@@ -34,6 +35,17 @@ def test_words_saturate_to_range():
     assert s.words.dtype == np.int64
 
 
+# above 53 bits a float cannot hold max_value, so saturation must not round
+@pytest.mark.parametrize("width", [53, 55, 60, 64])
+def test_wide_words_saturate_to_max_value(width, recwarn):
+    target = WordStats(0.0, 2 ** (width - 1) / 3.05, 0.0, width)
+    s = generate(target, 20_000, 1)
+    assert not recwarn.list
+    assert s.words.min() == target.min_value
+    assert s.words.max() == target.max_value
+    assert np.array_equal(parse_stream(dump_stream(s)).words, s.words)
+
+
 def test_stream_is_write_locked():
     s = generate(TARGET, 10, 1)
     with pytest.raises(ValueError):
@@ -58,6 +70,17 @@ def test_validation_precedes_chain_work(monkeypatch):
         generate(WordStats(0.0, 1e6, 0.99, 8), 10_000, 1)
     with pytest.raises(ValueError, match="exceeds the 8-bit range"):
         quantise(WordStats(0.0, 1e6, 0.99, 8), np.zeros(10), 1)
+
+
+def test_chain_holds_no_python_float_per_sample():
+    tracemalloc.start()
+    try:
+        unit_chain(0.99, 100_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few float64 arrays of the chain's length, warm-up included
+    assert peak <= 3 * 8 * 100_100, peak
 
 
 def test_target_statistics_recovered():
