@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from .simulate import (RARE_THRESHOLD, PackedPoints, check_threshold,
                        export_activity, pack_points, simulate)
 from .stats import WordStats, breakpoints
 from .stimulus import (DEFAULT_SEED, DEFAULT_VECTORS, check_range, generate,
-                       integer, load_stream, number, save_stream, unit_chain)
+                       integer, load_stream, number, save_stream)
 
 
 def _arch(item: str) -> tuple[str, int]:
@@ -210,10 +211,11 @@ def _cmd_locate(args) -> int:
     print(f"simulated rare nets at threshold {args.threshold}: "
           f"{rep.simulated_count}")
     for net_id in sorted(rep.simulated_nets):
-        gate = netlist.driver_of(net_id)
+        k = net_id - len(netlist.input_names)  # only gate nets are scored
         where = "inside" if net_id in rep.estimated_nets else "outside"
-        print(f"  {netlist.net_names[net_id]} (block {gate.block}, "
-              f"slice {gate.bit_slice}): {where} estimated region")
+        print(f"  {netlist.net_names[net_id]} (block "
+              f"{netlist.block_names[netlist.blocks[k]]}, "
+              f"slice {netlist.slices[k]}): {where} estimated region")
     return 0
 
 
@@ -226,13 +228,13 @@ def _pack_streams(width: int, points, out: Path,
     Returns the targets that fit and their packed operands; the streams
     themselves are freed on return."""
     points = list(points)
-    for t, sa, sb in points:
+    for _, t, sa, sb in points:
         for tag, stream in (("a", sa), ("b", sb)):
             rel = f"streams/w{width}_bp{t}_{tag}.txt"
             save_stream(stream, out / rel)
             manifest.append(rel)
-    return ([t for t, _, _ in points],
-            pack_points(width, [(sa, sb) for _, sa, sb in points]))
+    return ([t for _, t, _, _ in points],
+            pack_points(width, [(sa, sb) for *_, sa, sb in points]))
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -268,20 +270,13 @@ def run(cfg: ExperimentConfig) -> int:
             manifest.append(rel)
 
         # one stream pair per (width, target), packed once and shared by the
-        # width's architectures; a width's rows are freed before the next's.
-        # Every width quantises the same two chains, which the last width's
-        # `points` holds alone, so they go once its streams exist.
+        # width's architectures; a width's rows are freed before the next's
         (threshold,) = cfg.thresholds
         summary = {}
-        chains = (unit_chain(cfg.rho_a, cfg.vectors, cfg.seed),
-                  unit_chain(cfg.rho_b, cfg.vectors, cfg.seed + 1))
-        last = max(width_targets)
-        for width, wanted in width_targets.items():
-            points = operating_points(width, wanted, cfg.rho_a, cfg.rho_b,
-                                      cfg.vectors, cfg.seed, chains=chains)
-            if width == last:
-                del chains
-            targets, packed = _pack_streams(width, points, out, manifest)
+        for width, group in itertools.groupby(operating_points(
+                width_targets, cfg.rho_a, cfg.rho_b, cfg.vectors, cfg.seed),
+                key=lambda point: point[0]):
+            targets, packed = _pack_streams(width, group, out, manifest)
             for kind in (k for k, w in cfg.architectures if w == width):
                 nl = netlists[(kind, width)]
                 tag = f"{kind.lower()}{width}"

@@ -6,9 +6,11 @@ comma-separated; an empty value is the empty list, an empty item is an
 error, and `architectures` and `bp1_targets` may not repeat an item.
 Architectures are written `KIND:WIDTH`.  An integer is ASCII `-?[0-9]+`,
 and a number is ASCII text with no `_` that `float` reads.
-`parse(emit(cfg))` returns an equal config; `emit` raises `ConfigError`
-for a text value that would not read back (leading or trailing
-whitespace, or a line break).
+A config holds each architecture kind as `parse_arch` reads it
+(stripped, upper-case), so `parse(emit(cfg))` returns an equal config;
+`emit` raises `ConfigError` for a value whose text would not read back
+equal (leading or trailing whitespace, a line break, or a kind holding
+`,` or `:`).
 
 Operand statistics are stored width-free: only each operand's lag-1
 correlation is configured.  For every boundary target and width, the
@@ -41,6 +43,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        object.__setattr__(self, "architectures", tuple(
+            (kind.strip().upper(), width) for kind, width in self.architectures))
         if not self.architectures:
             raise ConfigError("architectures must be non-empty")
         if self.vectors < 2:
@@ -75,17 +79,23 @@ def default_bp1_targets(bit_width: int) -> tuple[int, ...]:
 def emit(cfg: ExperimentConfig) -> str:
     lines = []
     for f in fields(cfg):
-        v = getattr(cfg, f.name)
+        v = held = getattr(cfg, f.name)
         if f.name == "architectures":
             v = ",".join(f"{k}:{w}" for k, w in v)
         elif isinstance(v, tuple):
             v = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
         elif isinstance(v, float):
             v = repr(v)
-        elif isinstance(v, str) and (v != v.strip() or len(v.splitlines()) > 1):
-            raise ConfigError(f"{f.name} {v!r} cannot be read back: it has "
-                              "leading or trailing whitespace or a line break")
-        lines.append(f"{f.name}={v}")
+        line = f"{f.name}={v}"
+        try:  # each line reads back alone, as `parse` reads it
+            same = (len(line.splitlines()) == 1
+                    and _value(f.name, line.split("=", 1)[1].strip()) == held)
+        except ValueError:
+            same = False
+        if not same:
+            raise ConfigError(f"{f.name} {held!r} cannot be read back from "
+                              f"its text {line!r}")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -103,6 +113,16 @@ _PARSERS = {"architectures": parse_arch, "thresholds": number,
             "bp1_targets": integer, "rho_a": number, "rho_b": number,
             "vectors": integer, "seed": integer, "output_dir": str}
 _LISTS = ("architectures", "thresholds", "bp1_targets")
+
+
+def _value(key: str, text: str):
+    """The value of `key` read from its stripped text; `ValueError` if
+    malformed."""
+    items = [i.strip() for i in text.split(",")] if text else []
+    if key in _LISTS and "" in items:
+        raise ValueError(f"{text!r} has an empty item")
+    return (tuple(map(_PARSERS[key], items)) if key in _LISTS
+            else _PARSERS[key](text))
 
 
 def parse(text: str) -> ExperimentConfig:
@@ -126,11 +146,7 @@ def parse(text: str) -> ExperimentConfig:
     kwargs = {}
     for key, (lineno, value) in raw.items():
         try:
-            items = [i.strip() for i in value.split(",")] if value else []
-            if key in _LISTS and "" in items:
-                raise ValueError(f"{value!r} has an empty item")
-            kwargs[key] = (tuple(map(_PARSERS[key], items)) if key in _LISTS
-                           else _PARSERS[key](value))
+            kwargs[key] = _value(key, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     return ExperimentConfig(**kwargs)

@@ -13,9 +13,10 @@ at or below it) from a toggle profile, and the report derives the relative
 count error |simulated - estimated| / max(simulated, 1); points where the
 simulation found no rare nets keep the whole estimate as error.
 `operating_points` is the one sweep loop (`sweep_bp1`, `cli.run`) and
-`score_points` the one scoring loop: it estimates every operating point
-of a netlist, counts their toggles in one census and scores each
-(`compare`, `sweep_bp1`, `cli.run`).
+the one owner of a batch's two AR(1) chains.  `score_points` is the one
+scoring loop: it estimates every operating point of a netlist, counts
+their toggles in one census and scores each (`compare`, `sweep_bp1`,
+`cli.run`).
 """
 
 from __future__ import annotations
@@ -143,26 +144,29 @@ def solve_sigma_for_bp1(bp1: int, rho: float) -> float:
     return 2.0 ** bp1 / (6.0 * (1.0 - r) ** 0.5)
 
 
-def operating_points(width: int, targets, rho_a: float, rho_b: float,
-                     vectors: int, seed: int, mean: float = 0.0, chains=()):
-    """Yield `(target, stream_a, stream_b)` per target, in sorted order.
+def operating_points(width_targets, rho_a: float, rho_b: float, vectors: int,
+                     seed: int, mean: float = 0.0):
+    """Yield `(width, target, stream_a, stream_b)` for each width of
+    `width_targets` (width -> targets) and each of its targets, sorted.
 
     Each operand's sigma is solved from its own rho; a target whose
     mean +/- 3 sigma does not fit the word is skipped, and a repeated
-    target raises `ValueError`.  All targets quantise one chain per operand
-    (B's from `seed + 1`), so each stream equals `generate`'s.  `chains`,
-    when given, is that pair, built by the caller with `unit_chain`.
+    target raises `ValueError`.  Every point quantises one chain per
+    operand (B's from `seed + 1`), built at the first target that fits and
+    freed with the generator, so each stream equals `generate`'s.
     """
-    targets = sorted(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"bp1 targets list a target twice: {targets}")
-    for t in targets:
-        pair = operand_stats(width, t, rho_a, rho_b, mean)
-        if pair:
-            chains = chains or (unit_chain(rho_a, vectors, seed),
-                                unit_chain(rho_b, vectors, seed + 1))
-            yield (t, quantise(pair[0], chains[0], seed),
-                   quantise(pair[1], chains[1], seed + 1))
+    chains = None
+    for width in sorted(width_targets):
+        targets = sorted(width_targets[width])
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"bp1 targets list a target twice: {targets}")
+        for t in targets:
+            pair = operand_stats(width, t, rho_a, rho_b, mean)
+            if pair:
+                chains = chains or (unit_chain(rho_a, vectors, seed),
+                                    unit_chain(rho_b, vectors, seed + 1))
+                yield (width, t, quantise(pair[0], chains[0], seed),
+                       quantise(pair[1], chains[1], seed + 1))
 
 
 def operand_stats(width: int, target: int, rho_a: float, rho_b: float,
@@ -206,18 +210,19 @@ def sweep_bp1(netlist: Netlist, rho: float, threshold: float, bp1_targets,
     point the bit-level activity model is derived for; under it the
     estimate stays an upper bound on the simulated rare-net count for
     every supported architecture.  A target that does not fit the word
-    raises `ValueError` before anything is simulated.
+    raises `ValueError` before any chain is built.
     """
     check_threshold(threshold)  # before any stream is generated
-    points = list(operating_points(netlist.width, bp1_targets, rho, rho,
-                                   stream_len, seed, mean))
-    skipped = sorted(set(bp1_targets) - {t for t, _, _ in points})
+    skipped = sorted(t for t in set(bp1_targets) if not operand_stats(
+        netlist.width, t, rho, rho, mean))
     if skipped:
         raise ValueError(f"bp1 targets {skipped} put mean +/- 3 sigma "
                          f"outside the {netlist.width}-bit range")
-    packed = pack_points(netlist.width, [(sa, sb) for _, sa, sb in points])
+    points = list(operating_points({netlist.width: bp1_targets}, rho, rho,
+                                   stream_len, seed, mean))
+    packed = pack_points(netlist.width, [(sa, sb) for *_, sa, sb in points])
     scored = score_points(netlist, packed, threshold)
-    return SweepResult(tuple(SweepPoint(t, rep) for (t, _, _), (rep, _)
+    return SweepResult(tuple(SweepPoint(t, rep) for (_, t, _, _), (rep, _)
                              in zip(points, scored)))
 
 

@@ -3,9 +3,12 @@ import filecmp
 import inspect
 import itertools
 import math
+import os
 import re
 import runpy
+import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,32 @@ def test_config_that_cannot_be_read_back_is_not_written(output_dir, tmp_path):
     with pytest.raises(ConfigError, match="^output_dir "):
         save_config(cfg, tmp_path / "run.cfg")
     assert not (tmp_path / "run.cfg").exists()
+
+
+# architectures as given -> as the config holds them, or the error that
+# keeps them from a config file
+ARCH_ROUND_TRIPS = [
+    ((("rca", 8),), (("RCA", 8),)),
+    (((" RCA", 8),), (("RCA", 8),)),
+    ((("R,CA", 8),), "cannot be read back"),
+    ((("RCA:4", 8),), "cannot be read back"),
+    ((("rca", 8), ("RCA", 8)), "lists an item twice"),
+]
+
+
+@pytest.mark.parametrize("given,held", ARCH_ROUND_TRIPS)
+def test_config_architectures_read_back_as_held(given, held, tmp_path):
+    path = tmp_path / "run.cfg"
+    if isinstance(held, str):
+        with pytest.raises(ConfigError, match=held):
+            save_config(small_config(architectures=given), path)
+        assert not path.exists()
+        return
+    cfg = small_config(architectures=given)
+    assert cfg.architectures == held
+    assert parse(emit(cfg)) == cfg == small_config(architectures=held)
+    save_config(cfg, path)
+    assert load_config(path) == cfg
 
 
 def test_config_parse_accepts_comments_and_blanks():
@@ -673,8 +702,7 @@ def test_replicate_builds_one_chain_pair_for_every_width(tmp_path,
         built.append((rho, seed))
         return unit_chain(rho, length, seed)
 
-    for module in (cli, estimate):
-        monkeypatch.setattr(module, "unit_chain", counting_chain)
+    monkeypatch.setattr(estimate, "unit_chain", counting_chain)
     cfg = small_config(architectures=(("RCA", 8), ("CKA", 16)),
                        rho_a=0.99, rho_b=0.9, vectors=300, bp1_targets=(3, 5))
     path = tmp_path / "run.cfg"
@@ -688,6 +716,66 @@ def test_replicate_builds_one_chain_pair_for_every_width(tmp_path,
                                  (5, 6)):
             text = (out / f"streams/w{width}_bp{t}_{tag}.txt").read_text()
             assert text == dump_stream(generate(st, 300, seed))
+
+
+def test_replicate_frees_the_chains_before_the_last_width_is_packed(
+        tmp_path, monkeypatch):
+    """Every width shares the two AR(1) chains, but nothing holds them once
+    the last width's streams exist, so its census runs without them."""
+    from rarenet import estimate
+    chains, alive = [], []
+
+    def tracked_chain(rho, length, seed):
+        chain = unit_chain(rho, length, seed)
+        chains.append(weakref.ref(chain))
+        return chain
+
+    def checked_pack(width, pairs):
+        alive.append((width, sum(ref() is not None for ref in chains)))
+        return pack(width, pairs)
+
+    pack = cli.pack_points
+    for module in (cli, estimate):  # whichever module builds the chains
+        if hasattr(module, "unit_chain"):
+            monkeypatch.setattr(module, "unit_chain", tracked_chain)
+    monkeypatch.setattr(cli, "pack_points", checked_pack)
+    cfg = small_config(architectures=(("RCA", 8), ("CKA", 16)), vectors=300,
+                       bp1_targets=(3, 5))
+    path = tmp_path / "run.cfg"
+    save_config(cfg, path)
+    assert main(["replicate", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(chains) == 2
+    assert alive == [(8, 2), (16, 0)]
+
+
+def test_commands_import_no_package_but_numpy(tmp_path):
+    """`estimate`, `compare` and a small `replicate` import nothing beyond
+    the standard library, numpy and rarenet: an undeclared package such as
+    scipy would cost every command its import time."""
+    cfg = small_config(architectures=(("RCA", 8), ("BOOTH", 8)), vectors=300,
+                       output_dir=str(tmp_path / "out"))
+    save_config(cfg, tmp_path / "run.cfg")
+    stats = ["--arch", "CKA:16", "--std", "300", "--rho", "0.99"]
+    commands = [["estimate", *stats], ["compare", *stats, "--vectors", "300"],
+                ["replicate", "--config", str(tmp_path / "run.cfg")]]
+    script = f"""
+import sys
+import numpy, numpy.random
+before = {{name.partition(".")[0] for name in sys.modules}}
+from rarenet.cli import main
+for argv in {commands!r}:
+    assert main(argv) == 0, argv
+loaded = {{name.partition(".")[0] for name in sys.modules}} - before
+print(sorted(loaded - sys.stdlib_module_names - {{"rarenet"}}))
+"""
+    src = str(Path(rarenet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_simulate_bad_stream_header_exits_2(tmp_path, capsys):

@@ -80,6 +80,7 @@ def test_fast_path_makes_no_gate_and_no_gate_name(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("the estimate path read a gate or a gate name")
 
+    name_gates = rarenet.netlist._name_gates
     monkeypatch.setattr(rarenet.netlist, "Gate", forbidden)
     monkeypatch.setattr(rarenet.netlist, "_name_gates", forbidden)
     for kind, width in ARCHS:
@@ -89,6 +90,14 @@ def test_fast_path_makes_no_gate_and_no_gate_name(monkeypatch, capsys):
         nl = build_architecture(kind, width)
         assert len(nl.gates) == len(nl.kinds) > 0
     assert "p_est=" in capsys.readouterr().out
+    # a simulated `locate` names its rare nets, yet makes no `Gate` either
+    monkeypatch.setattr(rarenet.netlist, "_name_gates", name_gates)
+    for kind, width in (("RCA", 8), ("KSA", 16), ("BOOTH", 8), ("VEDIC", 8)):
+        # a positive mean holds the top bits constant
+        assert main(["locate", "--arch", f"{kind}:{width}",
+                     "--mean", str(2 ** (width - 2)), "--std", "4",
+                     "--rho", "0.99", "--vectors", "500"]) == 0
+        assert "estimated region" in capsys.readouterr().out, kind
 
 
 def two_gate_netlist():
@@ -261,20 +270,33 @@ def test_sweep_rejects_misfit_target_before_the_census(netlist_of,
         sweep_bp1(netlist_of("RCA", 8), 0.99, 1e-3, [3, 9], stream_len=100)
 
 
+def test_sweep_rejects_misfit_target_before_any_chain(netlist_of,
+                                                     monkeypatch):
+    from rarenet import estimate
+
+    def no_chain(*args):
+        raise AssertionError("chain built before the targets were checked")
+
+    monkeypatch.setattr(estimate, "unit_chain", no_chain)
+    with pytest.raises(ValueError, match=r"bp1 targets \[9\] put mean"):
+        sweep_bp1(netlist_of("RCA", 8), 0.99, 1e-3, [3, 9])
+
+
 def test_operating_points_solve_each_operand_and_skip_misfits():
-    points = list(operating_points(8, [9, 4, 3], 0.99, 0.5, 50, seed=7))
-    assert [t for t, _, _ in points] == [3, 4]
-    for t, sa, sb in points:
+    points = list(operating_points({8: [9, 4, 3], 4: [3, 1]}, 0.99, 0.5, 50,
+                                   seed=7))
+    assert [(w, t) for w, t, _, _ in points] == [(4, 1), (8, 3), (8, 4)]
+    for w, t, sa, sb in points:
         assert (sa.seed, sb.seed) == (7, 8)
         assert len(sa) == len(sb) == 50
         assert sa.target.std_dev == solve_sigma_for_bp1(t, 0.99)
-        assert sb.target == WordStats(0.0, solve_sigma_for_bp1(t, 0.5), 0.5, 8)
+        assert sb.target == WordStats(0.0, solve_sigma_for_bp1(t, 0.5), 0.5, w)
 
 
 
 def test_operating_points_share_one_chain_per_operand(monkeypatch):
-    """Every point quantises the same two chains, yet each stream equals
-    `generate` for its own target, word for word."""
+    """Every point of every width quantises the same two chains, yet each
+    stream equals `generate` for its own target, word for word."""
     from rarenet import estimate
     built = []
 
@@ -284,15 +306,17 @@ def test_operating_points_share_one_chain_per_operand(monkeypatch):
 
     monkeypatch.setattr(estimate, "unit_chain", counting_chain)
     mean, rho_a, rho_b = 100.0, 0.99, 0.9
-    points = list(operating_points(16, [13, 4, 8, 15], rho_a, rho_b, 3000,
-                                   seed=5, mean=mean))
-    assert [t for t, _, _ in points] == [4, 8, 13]  # 15 misfits operand A
+    points = list(operating_points({16: [13, 4, 8, 15], 12: [3, 11]}, rho_a,
+                                   rho_b, 3000, seed=5, mean=mean))
+    # 15 misfits operand A at 16 bits, 11 at 12 bits
+    assert [(w, t) for w, t, _, _ in points] == [(12, 3), (16, 4), (16, 8),
+                                                 (16, 13)]
     assert built == [(rho_a, 5), (rho_b, 6)]
-    for t, sa, sb in points:
+    for w, t, sa, sb in points:
         ref_a = generate(WordStats(mean, solve_sigma_for_bp1(t, rho_a), rho_a,
-                                   16), 3000, 5)
+                                   w), 3000, 5)
         ref_b = generate(WordStats(mean, solve_sigma_for_bp1(t, rho_b), rho_b,
-                                   16), 3000, 6)
+                                   w), 3000, 6)
         for got, ref in ((sa, ref_a), (sb, ref_b)):
             assert np.array_equal(got.words, ref.words)
             assert (got.seed, got.target) == (ref.seed, ref.target)
