@@ -237,6 +237,117 @@ def _pack_streams(width: int, points, out: Path,
             pack_points(width, [(sa, sb) for *_, sa, sb in points]))
 
 
+def _score_arch(nl, targets, packed: PackedPoints, threshold: float,
+                out: Path, written: list[str]) -> str:
+    """Score one architecture at its width's packed points: its activity
+    CSVs and `sweep_<tag>.csv`, each appended to `written` once it exists.
+
+    Returns the architecture's `summary.csv` row."""
+    tag = f"{nl.name}{nl.width}"
+    points = []
+    for t, (rep, profile) in zip(targets,
+                                 score_points(nl, packed, threshold)):
+        rel = f"activity/{tag}_bp{t}.csv"
+        export_activity(nl, profile, out / rel)
+        written.append(rel)
+        points.append(SweepPoint(t, rep))
+    result = SweepResult(tuple(points))
+    rel = f"reports/sweep_{tag}.csv"
+    write_report_csv(result.reports, out / rel)
+    written.append(rel)
+    return f"{nl.name},{nl.width},{result.mean_error:.12f}\n"
+
+
+def _shares(sizes: list[int], count: int) -> list[list[int]]:
+    """Split the indices of `sizes` into `count` shares of near-equal total
+    size: each index, largest first, joins the lightest share."""
+    shares: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += sizes[i]
+    return [sorted(share) for share in shares]
+
+
+def _score_share(share: list[int], score):
+    """`score(i, written)` for each index of `share` in order, up to the
+    first that raises: returns `(written, rows, error)`, where `rows` maps
+    index to result and `error` is `(index, exception)` or None."""
+    written: list[str] = []
+    rows = {}
+    for i in share:
+        try:
+            rows[i] = score(i, written)
+        except Exception as exc:  # noqa: BLE001 - sent back, raised by the parent
+            return written, rows, (i, exc)
+    return written, rows, None
+
+
+def _run_shares(sizes: list[int], score, manifest: list[str]) -> list:
+    """`score(i, written)` for every index of `sizes`, over one share per
+    usable CPU; returns the results in index order.
+
+    Share 0 runs in this process and every other in a child made by
+    `os.fork`, which reads the caller's netlists and packed rows without a
+    copy; no child calls BLAS, whose thread pool is the only other thread.
+    A child sends its `_score_share` back through a pipe.  Every pipe is
+    drained and every child reaped, also when this process's share raises;
+    the files each share wrote join `manifest`.  Then the error of the
+    lowest failing index is raised."""
+    # imported here, so no other command's import path changes
+    import os
+    import pickle
+
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    local, *others = _shares(sizes, min(cpus, len(sizes)))
+    local, children, results = [local], [], []
+    try:
+        for share in others:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the share runs here
+                os.close(r)
+                os.close(w)
+                local.append(share)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    written, rows, error = _score_share(share, score)
+                    with open(w, "wb") as pipe:
+                        pickle.dump((written, rows, error and (
+                            error[0], str(error[1]))), pipe)
+                    code = 0
+                finally:  # also on BaseException: a child never returns
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r, share))
+        results.extend(_score_share(share, score) for share in local)
+    finally:
+        sent = []
+        for _, r, _ in children:
+            with open(r, "rb") as pipe:
+                sent.append(pipe.read())
+        for (pid, _, share), data in zip(children, sent):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            results.append(pickle.loads(data) if code == 0 else ([], {}, (
+                share[0], f"worker process exited with status {code}")))
+    rows, errors = {}, []
+    for written, share_rows, error in results:
+        manifest.extend(written)
+        rows.update(share_rows)
+        if error is not None:
+            errors.append(error)
+    if errors:
+        _, exc = min(errors, key=lambda error: error[0])
+        raise exc if isinstance(exc, Exception) else RuntimeError(exc)
+    return [rows[i] for i in range(len(sizes))]
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute the full batch: netlists, streams, activity, reports.
 
@@ -277,22 +388,13 @@ def run(cfg: ExperimentConfig) -> int:
                 width_targets, cfg.rho_a, cfg.rho_b, cfg.vectors, cfg.seed),
                 key=lambda point: point[0]):
             targets, packed = _pack_streams(width, group, out, manifest)
-            for kind in (k for k, w in cfg.architectures if w == width):
-                nl = netlists[(kind, width)]
-                tag = f"{kind.lower()}{width}"
-                points = []
-                for t, (rep, profile) in zip(
-                        targets, score_points(nl, packed, threshold)):
-                    rel = f"activity/{tag}_bp{t}.csv"
-                    export_activity(nl, profile, out / rel)
-                    manifest.append(rel)
-                    points.append(SweepPoint(t, rep))
-                result = SweepResult(tuple(points))
-                rel = f"reports/sweep_{tag}.csv"
-                write_report_csv(result.reports, out / rel)
-                manifest.append(rel)
-                summary[(kind, width)] = (
-                    f"{kind.lower()},{width},{result.mean_error:.12f}\n")
+            archs = [arch for arch in cfg.architectures if arch[1] == width]
+            summary.update(zip(archs, _run_shares(
+                [len(netlists[arch].kinds) for arch in archs],
+                lambda i, written: _score_arch(
+                    netlists[archs[i]], targets, packed, threshold, out,
+                    written),
+                manifest)))
 
         rel = "reports/summary.csv"
         (out / rel).write_text("".join(["arch,width,mean_error\n", *(

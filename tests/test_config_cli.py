@@ -668,14 +668,16 @@ def test_replicate_packs_each_width_once_and_counts_each_netlist_once(
         tmp_path, monkeypatch):
     from rarenet import estimate
 
-    packed, counted = [], []
+    packed, log = [], tmp_path / "census.log"
 
     def counting_pack(width, pairs):
         packed.append(width)
         return pack(width, pairs)
 
     def counting_census(netlist, points):
-        counted.append((netlist.name, netlist.width, len(points.lengths)))
+        # a file, not a list: worker processes run censuses too
+        with open(log, "a") as fh:
+            fh.write(f"{netlist.name} {netlist.width} {len(points.lengths)}\n")
         return count(netlist, points)
 
     pack, count = cli.pack_points, estimate.census
@@ -687,8 +689,109 @@ def test_replicate_packs_each_width_once_and_counts_each_netlist_once(
     save_config(cfg, path)
     assert main(["replicate", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 0
+    counted = [(name, int(width), int(points)) for name, width, points
+               in map(str.split, log.read_text().splitlines())]
     assert sorted(packed) == [8, 16]
     assert sorted(counted) == [("booth", 8, 3), ("cka", 16, 3), ("rca", 8, 3)]
+
+
+def _replicate_with_cpus(monkeypatch, cpus, cfg, out, fork=os.fork):
+    """`replicate` that sees `cpus` as the usable CPUs and starts worker
+    processes with `fork`; returns its exit code and the forks it tried."""
+    forks = []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    save_config(cfg, out.parent / f"{out.name}.cfg")
+    code = main(["replicate", "--config", str(out.parent / f"{out.name}.cfg"),
+                 "--out", str(out)])
+    return code, len(forks)
+
+
+def test_replicate_tree_is_the_same_for_every_worker_count(tmp_path,
+                                                            monkeypatch):
+    """Also when no worker can be forked: each share then runs in the
+    `replicate` process."""
+    def no_fork():
+        raise OSError("fork: resource temporarily unavailable")
+
+    cfg = small_config(architectures=(
+        ("RCA", 8), ("BOOTH", 8), ("CKA", 8), ("DADDA", 8), ("KSA", 8),
+        ("ARRAY", 16), ("CLA", 16), ("VEDIC", 16)), vectors=300,
+        bp1_targets=(3, 4, 5))
+    runs = {}
+    for name, cpus, fork in (("cpus1", {0}, os.fork),
+                             ("cpus2", {0, 1}, os.fork),
+                             ("cpus4", {0, 1, 2, 3}, os.fork),
+                             ("no_fork", {0, 1, 2, 3}, no_fork)):
+        runs[name] = _replicate_with_cpus(monkeypatch, cpus, cfg,
+                                          tmp_path / name, fork)
+        assert_trees_identical(tmp_path / "cpus1", tmp_path / name)
+    # per width, a worker per CPU after the first, while architectures last
+    assert runs == {"cpus1": (0, 0), "cpus2": (0, 1 + 1),
+                    "cpus4": (0, 3 + 2), "no_fork": (0, 3 + 2)}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# BOOTH:8 has the most gates, so it is the parent's share; RCA:8 a worker's
+@pytest.mark.parametrize("failing, named", [
+    ("parent", "booth8_bp4.csv"), ("worker", "rca8_bp4.csv"),
+    ("both", "rca8_bp4.csv")])
+def test_replicate_failing_share_keeps_written_files_and_reaps_workers(
+        tmp_path, monkeypatch, capsys, failing, named):
+    """The second point of an architecture fails to export: the run
+    reports the failure of the first architecture in config order, once,
+    and the manifest lists exactly the files that exist."""
+    parent, export = os.getpid(), cli.export_activity
+
+    def failing_export(netlist, profile, path):
+        where = "parent" if os.getpid() == parent else "worker"
+        if path.name.endswith("_bp4.csv") and failing in (where, "both"):
+            raise OSError(f"cannot write {path.name}")
+        return export(netlist, profile, path)
+
+    monkeypatch.setattr(cli, "export_activity", failing_export)
+    cfg = small_config(architectures=(("RCA", 8), ("BOOTH", 8), ("CKA", 16)),
+                       vectors=300, bp1_targets=(3, 4))
+    out = tmp_path / "out"
+    assert _replicate_with_cpus(monkeypatch, {0, 1}, cfg, out) == (1, 1)
+    _assert_no_child_left()
+    assert capsys.readouterr() == ("", f"error: cannot write {named}\n")
+    status, *listed = (out / "manifest.txt").read_text().splitlines()
+    assert status == "status=incomplete"
+    files = {str(path.relative_to(out)) for path in out.rglob("*")
+             if path.is_file()} - {"manifest.txt"}
+    assert sorted(files) == listed
+    assert {"activity/rca8_bp3.csv", "activity/booth8_bp3.csv"} <= files
+    assert f"activity/{named}" not in files
+
+
+def test_replicate_reports_a_worker_that_exits_without_results(
+        tmp_path, monkeypatch, capsys):
+    parent, export = os.getpid(), cli.export_activity
+
+    def dying_export(netlist, profile, path):
+        if os.getpid() != parent:
+            os._exit(3)
+        return export(netlist, profile, path)
+
+    monkeypatch.setattr(cli, "export_activity", dying_export)
+    cfg = small_config(architectures=(("RCA", 8), ("BOOTH", 8)), vectors=300)
+    out = tmp_path / "out"
+    assert _replicate_with_cpus(monkeypatch, {0, 1}, cfg, out) == (1, 1)
+    _assert_no_child_left()
+    assert (capsys.readouterr().err
+            == "error: worker process exited with status 3\n")
+    assert (out / "manifest.txt").read_text().startswith("status=incomplete\n")
 
 
 def test_replicate_builds_one_chain_pair_for_every_width(tmp_path,
@@ -752,7 +855,9 @@ def test_replicate_frees_the_chains_before_the_last_width_is_packed(
 def test_commands_import_no_package_but_numpy(tmp_path):
     """`estimate`, `compare` and a small `replicate` import nothing beyond
     the standard library, numpy and rarenet: an undeclared package such as
-    scipy would cost every command its import time."""
+    scipy would cost every command its import time.  Nor do they load
+    `multiprocessing` or `concurrent`: `replicate`'s workers are forked
+    with `os` alone."""
     cfg = small_config(architectures=(("RCA", 8), ("BOOTH", 8)), vectors=300,
                        output_dir=str(tmp_path / "out"))
     save_config(cfg, tmp_path / "run.cfg")
@@ -768,6 +873,8 @@ for argv in {commands!r}:
     assert main(argv) == 0, argv
 loaded = {{name.partition(".")[0] for name in sys.modules}} - before
 print(sorted(loaded - sys.stdlib_module_names - {{"rarenet"}}))
+print(sorted({{"multiprocessing", "concurrent"}}
+             & {{name.partition(".")[0] for name in sys.modules}}))
 """
     src = str(Path(rarenet.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -775,7 +882,7 @@ print(sorted(loaded - sys.stdlib_module_names - {{"rarenet"}}))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_cli_simulate_bad_stream_header_exits_2(tmp_path, capsys):
