@@ -13,7 +13,6 @@ from .stats import (
     rho_msb,
     alpha_msb,
     breakpoints,
-    theoretical_bit_profile,
     empirical_word_stats,
     empirical_bit_profile,
 )
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "WordStats", "Breakpoints", "BitProfile",
     "rho_msb", "alpha_msb", "breakpoints",
-    "theoretical_bit_profile", "empirical_word_stats", "empirical_bit_profile",
+    "empirical_word_stats", "empirical_bit_profile",
     "StimulusStream", "generate", "save_stream", "load_stream",
     "Netlist", "Gate", "NetlistError",
     "export_netlist", "import_netlist",

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
+import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -273,14 +275,14 @@ def _shares(sizes: list[int], count: int) -> list[list[int]]:
 def _score_share(share: list[int], score):
     """`score(i, written)` for each index of `share` in order, up to the
     first that raises: returns `(written, rows, error)`, where `rows` maps
-    index to result and `error` is `(index, exception)` or None."""
+    index to result and `error` is `(index, message)` or None."""
     written: list[str] = []
     rows = {}
     for i in share:
         try:
             rows[i] = score(i, written)
         except Exception as exc:  # noqa: BLE001 - sent back, raised by the parent
-            return written, rows, (i, exc)
+            return written, rows, (i, str(exc))
     return written, rows, None
 
 
@@ -293,12 +295,8 @@ def _run_shares(sizes: list[int], score, manifest: list[str]) -> list:
     copy; no child calls BLAS, whose thread pool is the only other thread.
     A child sends its `_score_share` back through a pipe.  Every pipe is
     drained and every child reaped, also when this process's share raises;
-    the files each share wrote join `manifest`.  Then the error of the
-    lowest failing index is raised."""
-    # imported here, so no other command's import path changes
-    import os
-    import pickle
-
+    the files each share wrote join `manifest`.  Then the message of the
+    lowest failing index is raised as a `RuntimeError`."""
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     local, *others = _shares(sizes, min(cpus, len(sizes)))
@@ -317,10 +315,8 @@ def _run_shares(sizes: list[int], score, manifest: list[str]) -> list:
                 code = 1
                 try:
                     os.close(r)
-                    written, rows, error = _score_share(share, score)
                     with open(w, "wb") as pipe:
-                        pickle.dump((written, rows, error and (
-                            error[0], str(error[1]))), pipe)
+                        pickle.dump(_score_share(share, score), pipe)
                     code = 0
                 finally:  # also on BaseException: a child never returns
                     os._exit(code)
@@ -343,8 +339,7 @@ def _run_shares(sizes: list[int], score, manifest: list[str]) -> list:
         if error is not None:
             errors.append(error)
     if errors:
-        _, exc = min(errors, key=lambda error: error[0])
-        raise exc if isinstance(exc, Exception) else RuntimeError(exc)
+        raise RuntimeError(min(errors)[1])
     return [rows[i] for i in range(len(sizes))]
 
 
@@ -370,7 +365,7 @@ def run(cfg: ExperimentConfig) -> int:
     # an unusable --out is one error, before any output or manifest
     out.mkdir(parents=True, exist_ok=True)
     manifest: list[str] = []
-    status = "complete"
+    status = "incomplete"
     try:
         for sub in ("netlists", "streams", "activity", "reports"):
             (out / sub).mkdir(parents=True, exist_ok=True)
@@ -400,10 +395,10 @@ def run(cfg: ExperimentConfig) -> int:
         (out / rel).write_text("".join(["arch,width,mean_error\n", *(
             summary[arch] for arch in cfg.architectures)]), newline="")
         manifest.append(rel)
+        status = "complete"
         return 0
     except Exception as exc:  # noqa: BLE001 - report and keep partial outputs
         print(f"error: {exc}", file=sys.stderr)
-        status = "incomplete"
         return 1
     finally:
         with open(out / "manifest.txt", "w") as fh:

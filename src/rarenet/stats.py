@@ -2,10 +2,10 @@
 
 A two's-complement word driven by a correlated Gaussian source splits into
 three bit regions: an LSB region of effectively random bits (activity 0.5),
-a linear transition region, and an MSB/sign region whose bits are highly
-correlated and toggle rarely.  The region boundaries (breakpoints BP0/BP1)
-and the sign-bit activity/correlation follow in closed form from the
-word-level statistics (mean, standard deviation, lag-1 autocorrelation).
+a transition region, and an MSB/sign region whose bits are highly correlated
+and toggle rarely.  This module gives the breakpoints BP0/BP1 and sign-bit
+activity/correlation in closed form from sigma and rho; it has no model of
+the transition bits, which `empirical_bit_profile` only measures.
 """
 
 from __future__ import annotations
@@ -113,26 +113,6 @@ def breakpoints(stats: WordStats) -> Breakpoints:
     bp1 = min(max(bp1_raw, 0), n - 1)
     bp0 = min(bp0, bp1)
     return Breakpoints(bp0, bp1)
-
-
-def theoretical_bit_profile(stats: WordStats) -> BitProfile:
-    """Model-predicted per-bit profile under the zero-mean Gaussian assumption.
-
-    Activities are 0.5 up to BP0, ramp linearly to the sign-bit activity
-    across the transition region, and sit at alpha_msb from BP1 upward.
-    """
-    n = stats.bit_width
-    bp = breakpoints(stats)
-    am = alpha_msb(stats.rho)
-    acts = []
-    for i in range(n):
-        if i <= bp.bp0:
-            acts.append(0.5)
-        elif i < bp.bp1:
-            acts.append(0.5 + (am - 0.5) * (i - bp.bp0) / (bp.bp1 - bp.bp0))
-        else:
-            acts.append(am)
-    return BitProfile((0.5,) * n, tuple(acts))
 
 
 def empirical_word_stats(stream: "StimulusStream") -> WordStats:

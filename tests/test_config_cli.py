@@ -713,13 +713,14 @@ def _replicate_with_cpus(monkeypatch, cpus, cfg, out, fork=os.fork):
     return code, len(forks)
 
 
+def _no_fork():
+    raise OSError("fork: resource temporarily unavailable")
+
+
 def test_replicate_tree_is_the_same_for_every_worker_count(tmp_path,
                                                             monkeypatch):
     """Also when no worker can be forked: each share then runs in the
     `replicate` process."""
-    def no_fork():
-        raise OSError("fork: resource temporarily unavailable")
-
     cfg = small_config(architectures=(
         ("RCA", 8), ("BOOTH", 8), ("CKA", 8), ("DADDA", 8), ("KSA", 8),
         ("ARRAY", 16), ("CLA", 16), ("VEDIC", 16)), vectors=300,
@@ -728,7 +729,7 @@ def test_replicate_tree_is_the_same_for_every_worker_count(tmp_path,
     for name, cpus, fork in (("cpus1", {0}, os.fork),
                              ("cpus2", {0, 1}, os.fork),
                              ("cpus4", {0, 1, 2, 3}, os.fork),
-                             ("no_fork", {0, 1, 2, 3}, no_fork)):
+                             ("no_fork", {0, 1, 2, 3}, _no_fork)):
         runs[name] = _replicate_with_cpus(monkeypatch, cpus, cfg,
                                           tmp_path / name, fork)
         assert_trees_identical(tmp_path / "cpus1", tmp_path / name)
@@ -742,10 +743,11 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# BOOTH:8 has the most gates, so it is the parent's share; RCA:8 a worker's
+# BOOTH:8 has the most gates, so it is the parent's share; RCA:8 a worker's,
+# or with "fallback", where `os.fork` fails, the parent's second share
 @pytest.mark.parametrize("failing, named", [
     ("parent", "booth8_bp4.csv"), ("worker", "rca8_bp4.csv"),
-    ("both", "rca8_bp4.csv")])
+    ("both", "rca8_bp4.csv"), ("fallback", "rca8_bp4.csv")])
 def test_replicate_failing_share_keeps_written_files_and_reaps_workers(
         tmp_path, monkeypatch, capsys, failing, named):
     """The second point of an architecture fails to export: the run
@@ -755,7 +757,8 @@ def test_replicate_failing_share_keeps_written_files_and_reaps_workers(
 
     def failing_export(netlist, profile, path):
         where = "parent" if os.getpid() == parent else "worker"
-        if path.name.endswith("_bp4.csv") and failing in (where, "both"):
+        if (path.name.endswith("_bp4.csv")
+                and failing in (where, "both", "fallback")):
             raise OSError(f"cannot write {path.name}")
         return export(netlist, profile, path)
 
@@ -763,7 +766,8 @@ def test_replicate_failing_share_keeps_written_files_and_reaps_workers(
     cfg = small_config(architectures=(("RCA", 8), ("BOOTH", 8), ("CKA", 16)),
                        vectors=300, bp1_targets=(3, 4))
     out = tmp_path / "out"
-    assert _replicate_with_cpus(monkeypatch, {0, 1}, cfg, out) == (1, 1)
+    fork = _no_fork if failing == "fallback" else os.fork
+    assert _replicate_with_cpus(monkeypatch, {0, 1}, cfg, out, fork) == (1, 1)
     _assert_no_child_left()
     assert capsys.readouterr() == ("", f"error: cannot write {named}\n")
     status, *listed = (out / "manifest.txt").read_text().splitlines()
@@ -792,6 +796,25 @@ def test_replicate_reports_a_worker_that_exits_without_results(
     assert (capsys.readouterr().err
             == "error: worker process exited with status 3\n")
     assert (out / "manifest.txt").read_text().startswith("status=incomplete\n")
+
+
+def test_replicate_interrupted_leaves_an_incomplete_manifest(tmp_path,
+                                                             monkeypatch):
+    """An interrupt is not reported as a failure: it propagates, and the
+    manifest still marks the run incomplete and lists the files written."""
+    def interrupted_export(netlist, profile, path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "export_activity", interrupted_export)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        _replicate_with_cpus(monkeypatch, {0},
+                             small_config(architectures=(("RCA", 8),)), out)
+    status, *listed = (out / "manifest.txt").read_text().splitlines()
+    assert status == "status=incomplete"
+    files = {str(path.relative_to(out)) for path in out.rglob("*")
+             if path.is_file()} - {"manifest.txt"}
+    assert sorted(files) == listed
 
 
 def test_replicate_builds_one_chain_pair_for_every_width(tmp_path,

@@ -14,7 +14,6 @@ from rarenet.stats import (
     empirical_word_stats,
     nint,
     rho_msb,
-    theoretical_bit_profile,
 )
 from rarenet.stimulus import generate
 
@@ -98,21 +97,6 @@ def test_combined_breakpoints_widest_region(netlist_of):
     assert effective_slice_start(nl, b, a) == Breakpoints(4, 9)
     s = WordStats(0.0, 1024.0, 0.99, 16)
     assert effective_slice_start(nl, breakpoints(s), breakpoints(s)) == breakpoints(s)
-
-
-def test_theoretical_profile_shape():
-    stats = WordStats(0.0, 1024.0, 0.99, 16)
-    prof = theoretical_bit_profile(stats)
-    bp = breakpoints(stats)
-    am = alpha_msb(stats.rho)
-    assert all(p == 0.5 for p in prof.probs)
-    assert prof.activities[0] == 0.5
-    assert prof.activities[bp.bp0] == 0.5
-    assert prof.activities[bp.bp1] == pytest.approx(am)
-    assert prof.activities[15] == pytest.approx(am)
-    # ramp is strictly decreasing between the boundaries
-    ramp = prof.activities[bp.bp0:bp.bp1 + 1]
-    assert all(x > y for x, y in zip(ramp, ramp[1:]))
 
 
 def test_empirical_word_stats_matches_numpy():
